@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-
 #include "core/experiment.hh"
 #include "host/replayer.hh"
 #include "sim/simulator.hh"
@@ -40,46 +38,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
         static_cast<double>(high_water);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 10)->Arg(1 << 14);
-
-void
-BM_EventQueueScheduleRunClustered(benchmark::State &state)
-{
-    // Device-shaped load on the tuned calendar wheel: completions
-    // arrive in same-tick ties of 8 (multi-plane completions), on
-    // four fixed NAND latencies, and each handler reschedules a
-    // follow-up — the shape the two-tier queue and batched dispatch
-    // are built for. Compare against BM_EventQueueScheduleRun to see
-    // the wheel + batch win; scripts/run_benchmarks.sh gates this
-    // against the committed baseline.
-    static constexpr sim::Time kLat[4] = {160'000, 244'000, 1'385'000,
-                                          3'800'000};
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    for (auto _ : state) {
-        sim::Simulator s;
-        s.tuneEventHorizon(kLat[0], kLat[3]);
-        std::uint64_t fired = 0;
-        std::uint64_t budget = 4 * n;
-        std::function<void()> tick = [&] {
-            ++fired;
-            if (budget > 0) {
-                --budget;
-                const sim::Time now = s.now();
-                s.schedule(now + kLat[(now >> 10) & 3], tick);
-            }
-        };
-        for (std::uint64_t i = 0; i < n; ++i)
-            s.schedule(kLat[(i / 8) & 3] +
-                           static_cast<sim::Time>(i / 8) * 257,
-                       tick);
-        s.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(5 * n) *
-                            state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleRunClustered)
-    ->Arg(1 << 12)
-    ->Arg(1 << 14);
 
 void
 BM_EventArenaSteadyState(benchmark::State &state)

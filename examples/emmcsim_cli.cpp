@@ -38,7 +38,8 @@
  * replay also accepts --spo-at=NS[,NS...] / --spo-random=N,seed to cut
  * device power mid-run and drive the FTL recovery path. A replay of an
  * emmctrace-bin file streams it chunk by chunk (bounded memory for
- * multi-GB traces); SPO / snapshot / restore need a text trace.
+ * multi-GB traces); --spo-random / snapshot / restore need a text
+ * trace.
  */
 
 #include <algorithm>
@@ -286,10 +287,10 @@ cmdReplay(const std::string &path, const std::string &scheme,
                          "and cannot capture/resume)\n";
             return 2;
         }
-        if (!opts.spo.ticks.empty() || spo_random.count > 0) {
-            std::cerr << "error: --spo-* needs a text trace "
-                         "(emmctrace-bin streams and cannot inject "
-                         "power cuts)\n";
+        if (spo_random.count > 0) {
+            std::cerr << "error: --spo-random needs a text trace (the "
+                         "emmctrace-bin header carries no arrival span "
+                         "to draw from; use --spo-at)\n";
             return 2;
         }
         trace::BinTraceSource src(path);
@@ -837,7 +838,7 @@ usage()
            "      [--spo-at=NS[,NS...]]   cut device power at the "
            "given simulated ns\n"
            "      [--spo-random=N,SEED]   cut power at N seeded random "
-           "points in the run\n"
+           "points in the run (text traces)\n"
            "      [--spo-notify]          send POWER_OFF_NOTIFICATION "
            "before each cut\n"
            "      [--spo-delay-ms=N]      power-off duration per cut "

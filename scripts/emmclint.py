@@ -12,11 +12,11 @@ clang-tidy check for us:
   event-path-container No node-based or adapter containers (std::map
                        / multimap / set / multiset / list /
                        forward_list / deque / priority_queue /
-                       unordered_*) in src/sim.  The two-tier event
-                       queue is flat vectors (arena, calendar wheel,
-                       4-ary heap) precisely to avoid per-node
-                       allocation and pointer chasing; a node-based
-                       container smuggles both back in.
+                       unordered_*) in src/sim.  The event queue is
+                       flat vectors (slot arena, freelist, 4-ary
+                       heap) precisely to avoid per-node allocation
+                       and pointer chasing; a node-based container
+                       smuggles both back in.
   unordered-iter       No iteration over std::unordered_map/set.
                        Hash-table iteration order is unspecified, and
                        anything it feeds (reports, traces, flash ops)
@@ -172,12 +172,12 @@ ALLOC_PATTERNS = [
     (re.compile(r"\bstd::function\b"), "std::function"),
 ]
 
-# The event core is flat vectors by design (arena + calendar wheel +
-# 4-ary heap over contiguous storage, DESIGN.md §11/§16). Node-based
-# and adapter containers reintroduce the per-event allocation and
-# pointer-chasing the two-tier queue exists to avoid; std::deque is
-# included because its chunk map defeats the prefetcher the dispatch
-# batch relies on.
+# The event core is flat vectors by design (slot arena + freelist +
+# 4-ary heap over contiguous storage, DESIGN.md §11). Node-based and
+# adapter containers reintroduce the per-event allocation and
+# pointer-chasing the flat layout exists to avoid; std::deque is
+# included because its chunk map scatters what a vector keeps
+# contiguous.
 NODE_CONTAINER = re.compile(
     r"\bstd::(map|multimap|set|multiset|list|forward_list|deque|"
     r"priority_queue|unordered_map|unordered_multimap|unordered_set|"
@@ -252,8 +252,8 @@ def lint_text(path: str, raw: str, scope_event_path: bool,
             if m:
                 add("event-path-container", lineno,
                     f"std::{m.group(1)} in the simulator event path: "
-                    f"the event core is flat storage (arena, calendar "
-                    f"wheel, 4-ary heap); use a vector-backed "
+                    f"the event core is flat storage (slot arena, "
+                    f"freelist, 4-ary heap); use a vector-backed "
                     f"structure instead")
 
     # wall-clock -----------------------------------------------------------

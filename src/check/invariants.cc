@@ -240,9 +240,16 @@ checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx)
     const sim::Time next = q.nextTime();
     ctx.check(next == sim::kTimeNever || next >= simulator.now(),
               "simulator clock passed the next pending event");
-    ctx.check(simulator.executedCount() + q.size() <=
+    // Arrivals fire from the simulator's cursor without being
+    // scheduled, so only the rest of the executed count draws on the
+    // queue's ever-scheduled ledger.
+    ctx.check(simulator.arrivalsFired() <= simulator.executedCount(),
+              "more arrivals fired than events executed");
+    ctx.check(simulator.executedCount() - simulator.arrivalsFired() +
+                      q.size() <=
                   q.scheduledCount(),
-              "executed + pending events exceed ever-scheduled count");
+              "executed events + pending events exceed the "
+              "ever-scheduled count");
 
     // Generation-ledger arena accounting: every slot is live, free,
     // or the one currently firing (audits may run inside an action);
@@ -256,25 +263,13 @@ checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx)
     ctx.check(q.arenaSlots() <= q.scheduledCount(),
               "event arena: more slots than events ever scheduled");
 
-    // Two-tier coverage: every live event holds exactly one pending
-    // entry somewhere — wheel buckets, overflow heap, the staged
-    // sorted run, or the unfired tail of an in-flight dispatch
-    // batch — and the only extra entries are the lazily deleted dead
-    // ones. (auditInvariants walks the tiers entry by entry; this is
-    // the cheap closed-form cross-check over the public counters.)
-    ctx.check(q.wheelOccupancy() + q.overflowSize() +
-                      q.stagedRunEntries() + q.batchTailEntries() ==
-                  q.size() + q.deadHeapEntries(),
-              "event queue: tier occupancy does not cover live + "
-              "dead entries");
-    ctx.check(q.wheelTuned() || q.wheelOccupancy() == 0,
-              "event queue: untuned wheel holds entries");
-    ctx.check(q.wheelScheduled() + q.overflowScheduled() <=
-                  q.scheduledCount(),
-              "event queue: tier schedule counters exceed the "
-              "ever-scheduled count");
-    ctx.check(q.batchedEvents() <= simulator.executedCount(),
-              "event queue: more batched events than were executed");
+    // Heap coverage: every live event holds exactly one heap entry,
+    // and the only extra entries are the lazily deleted dead ones.
+    // (auditInvariants walks the heap entry by entry; this is the
+    // cheap closed-form cross-check over the public counters.)
+    ctx.check(q.heapEntries() == q.size() + q.deadHeapEntries(),
+              "event queue: heap entries do not cover live + dead "
+              "entries");
 }
 
 void

@@ -253,7 +253,6 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
         obs_opts.trace = opts.obs.traceSpans;
         obs_opts.sampleWindow = opts.obs.sampleWindow;
         obs_opts.attribution = opts.obs.attribution;
-        obs_opts.eventCore = opts.obs.eventCore;
         obs_opts.replayStats = &replayer.stats();
         observer = std::make_unique<obs::DeviceObserver>(
             simulator, *device, obs_opts);
@@ -311,9 +310,9 @@ CaseResult
 runCaseStream(trace::TraceSource &src, SchemeKind kind,
               const ExperimentOptions &opts)
 {
-    EMMCSIM_ASSERT(opts.spo.ticks.empty() && opts.snapshotAt < 0,
-                   "runCaseStream cannot inject SPO or snapshot (both "
-                   "need the in-memory path)");
+    EMMCSIM_ASSERT(opts.snapshotAt < 0,
+                   "runCaseStream cannot snapshot (the image stores "
+                   "per-record timestamps; use runCase)");
 
     sim::Simulator simulator;
     emmc::EmmcConfig cfg = applyOptions(schemeConfig(kind), opts);
@@ -341,7 +340,6 @@ runCaseStream(trace::TraceSource &src, SchemeKind kind,
         obs_opts.trace = opts.obs.traceSpans;
         obs_opts.sampleWindow = opts.obs.sampleWindow;
         obs_opts.attribution = opts.obs.attribution;
-        obs_opts.eventCore = opts.obs.eventCore;
         obs_opts.replayStats = &replayer.stats();
         observer = std::make_unique<obs::DeviceObserver>(
             simulator, *device, obs_opts);
@@ -349,6 +347,7 @@ runCaseStream(trace::TraceSource &src, SchemeKind kind,
 
     host::ReplayOptions replay_opts;
     replay_opts.maxRetries = opts.hostMaxRetries;
+    replay_opts.spo = opts.spo;
     host::StreamReplayResult sres =
         replayer.replayStream(src, replay_opts);
 

@@ -35,12 +35,6 @@ struct ObsRequest
     sim::Time sampleWindow = 0;
     /** Aggregate per-request phase ledgers (report "attribution"). */
     bool attribution = false;
-    /**
-     * Scheduler self-metrics ("sim.events.*"). Process diagnostics,
-     * not device state: disable when a report must be byte-identical
-     * across snapshot resume (see obs::ObserverOptions::eventCore).
-     */
-    bool eventCore = true;
 
     bool any() const
     {

@@ -19,22 +19,6 @@ EmmcDevice::EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg,
       buffer_(cfg_.buffer)
 {
     EMMCSIM_ASSERT(dist_ != nullptr, "device needs a distributor");
-    // Size the simulator's calendar-wheel tier from this device's
-    // fixed NAND latencies: completions cluster at the pool
-    // read/program times and the erase time, so the wheel's bucket
-    // width tracks the shortest of them and its window covers the
-    // longest (DESIGN §16). Pure perf tuning — pop order (and replay
-    // output) is identical to the untuned heap.
-    sim::Time shortest = cfg_.timing.eraseLatency;
-    sim::Time longest = cfg_.timing.eraseLatency;
-    for (const flash::PageTiming &pt : cfg_.timing.pools) {
-        shortest = std::min({shortest, pt.readLatency,
-                             pt.programLatency});
-        longest = std::max({longest, pt.readLatency,
-                            pt.programLatency});
-    }
-    if (shortest > 0 && longest >= shortest)
-        sim_.tuneEventHorizon(shortest, longest);
     // Unmapped reads are timed as if the scheme's own split had laid
     // the data out (see Ftl::readUnits).
     ftl_.setPseudoReadDistributor(dist_.get());

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "flash/array.hh"
@@ -325,11 +326,21 @@ class Ftl
     struct LastHostProgram
     {
         bool valid = false;
+        // Snapshot images store this struct as raw bytes, so its
+        // padding is spelled out and zeroed; implicit padding would
+        // carry whatever the heap held before.
+        std::uint8_t pad0[3] = {};
         std::uint32_t planeLinear = 0;
         std::uint32_t pool = 0;
+        std::uint32_t pad1 = 0;
         flash::Ppn ppn{0};
         sim::Time done = 0;
     };
+    static_assert(sizeof(LastHostProgram) == 32 &&
+                      std::has_unique_object_representations_v<
+                          LastHostProgram>,
+                  "LastHostProgram is snapshot layout v1: 32 bytes, no "
+                  "implicit padding");
     LastHostProgram lastHostProgram_;
 };
 

@@ -16,9 +16,7 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 
 /**
  * Fold a request's address into the device's logical space (traces
- * can address a larger region than one device exports). Shared by the
- * in-memory and streaming paths so their remapping cannot diverge —
- * byte-identity between them depends on it.
+ * can address a larger region than one device exports).
  */
 void
 foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
@@ -57,6 +55,64 @@ StreamReplayResult::latencyBoundsMs()
             20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
 }
 
+class Replayer::Sink
+{
+  public:
+    /** @p c is the final completion of a request that arrived at
+     *  @p arrival (its trace timestamp). */
+    virtual void finish(sim::Time arrival,
+                        const emmc::CompletedRequest &c) = 0;
+
+  protected:
+    ~Sink() = default;
+};
+
+class Replayer::StampSink final : public Replayer::Sink
+{
+  public:
+    explicit StampSink(trace::Trace &out) : out_(out) {}
+
+    void
+    finish(sim::Time, const emmc::CompletedRequest &c) override
+    {
+        trace::TraceRecord &r = out_[c.request.id];
+        r.serviceStart = c.serviceStart;
+        r.finish = c.finish;
+    }
+
+  private:
+    trace::Trace &out_;
+};
+
+class Replayer::FoldSink final : public Replayer::Sink
+{
+  public:
+    explicit FoldSink(StreamReplayResult &res) : res_(res) {}
+
+    void
+    finish(sim::Time arrival, const emmc::CompletedRequest &c) override
+    {
+        ++res_.requests;
+        if (c.request.write) {
+            ++res_.writeRequests;
+            res_.writeBytes += c.request.sizeBytes;
+        } else {
+            res_.readBytes += c.request.sizeBytes;
+        }
+        if (res_.firstArrival < 0)
+            res_.firstArrival = arrival;
+        res_.lastArrival = std::max(res_.lastArrival, arrival);
+        res_.lastFinish = std::max(res_.lastFinish, c.finish);
+        const double resp_ms = sim::toMilliseconds(c.finish - arrival);
+        res_.responseMs.add(resp_ms);
+        res_.responseHistMs.add(resp_ms);
+        res_.serviceMs.add(sim::toMilliseconds(c.finish - c.serviceStart));
+    }
+
+  private:
+    StreamReplayResult &res_;
+};
+
 Replayer::Replayer(sim::Simulator &simulator, emmc::EmmcDevice &device)
     : sim_(simulator), device_(device)
 {
@@ -76,6 +132,302 @@ Replayer::resume(const trace::Trace &input, const std::string &image,
         sim::fatal("resume: SPO injection and re-snapshotting are not "
                    "supported on a resumed replay");
     return run(input, opts, &image);
+}
+
+StreamReplayResult
+Replayer::replayStream(trace::TraceSource &src, const ReplayOptions &opts)
+{
+    if (opts.snapshotAt >= 0)
+        sim::fatal("stream replay: snapshotting needs the in-memory "
+                   "path (the image stores per-record timestamps)");
+    if (src.failed())
+        sim::fatal("stream replay: source failed before the first "
+                   "record: " + src.error().message());
+    begin(opts);
+    StreamReplayResult result;
+    FoldSink sink(result);
+    runLoop(src, sink, opts);
+    EMMCSIM_ASSERT(result.requests == nextArrival_,
+                   "stream replay lost completions");
+    return result;
+}
+
+void
+Replayer::begin(const ReplayOptions &opts)
+{
+    if (!opts.spo.ticks.empty() && opts.snapshotAt >= 0)
+        sim::fatal("replay: SPO injection and snapshotting are "
+                   "mutually exclusive in one replay");
+    if (!std::is_sorted(opts.spo.ticks.begin(), opts.spo.ticks.end()))
+        sim::fatal("replay: SPO ticks must be sorted ascending");
+    stats_ = ReplayStats{};
+    parked_.clear();
+    pendingRetries_ = 0;
+    nextArrival_ = 0;
+    snapshotAt_ = opts.snapshotAt;
+    snapshotDone_ = false;
+    snapshotImage_.clear();
+}
+
+trace::Trace
+Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
+              const std::string *image)
+{
+    // Validate before replaying anything: a malformed trace (arrivals
+    // out of order, zero-sized or misaligned requests) would fail deep
+    // inside the device with a far less actionable message.
+    std::string problem = input.validate();
+    if (!problem.empty())
+        sim::fatal("replay: invalid input trace: " + problem);
+    begin(opts);
+
+    trace::Trace out = input;
+    if (image)
+        restore(*image, out);
+
+    sim::Simulator::HookId hook = 0;
+    if (snapshotAt_ >= 0) {
+        hook = sim_.addPostEventHook(
+            [this, &out](const sim::Simulator &) { maybeCapture(out); });
+    }
+    trace::MemoryTraceSource src(input, nextArrival_);
+    StampSink sink(out);
+    runLoop(src, sink, opts);
+    if (snapshotAt_ >= 0) {
+        sim_.removePostEventHook(hook);
+        if (!snapshotDone_)
+            sim::fatal("replay: no quiescent point reached at or after "
+                       "the requested snapshot tick");
+    }
+
+    for (const auto &r : out.records()) {
+        EMMCSIM_ASSERT(r.replayed(),
+                       "replay finished with incomplete requests");
+        EMMCSIM_DCHECK(r.arrival <= r.serviceStart &&
+                           r.serviceStart <= r.finish,
+                       "replayed record has inverted BIOtracer "
+                       "timestamps");
+    }
+    return out;
+}
+
+void
+Replayer::restore(const std::string &image, trace::Trace &out)
+{
+    if (sim_.pending() || sim_.now() != 0)
+        sim::fatal("resume: needs a fresh simulator");
+    core::BinReader reader(image);
+    if (reader.str() != kSnapshotMagic ||
+        reader.u32() != kSnapshotVersion)
+        sim::fatal("resume: not a snapshot image (or wrong version)");
+    const sim::Time capture_time = reader.i64();
+    nextArrival_ = reader.u64();
+    if (reader.u64() != out.size())
+        sim::fatal("resume: snapshot was captured for a different "
+                   "trace");
+    for (trace::TraceRecord &r : out.records()) {
+        r.serviceStart = reader.i64();
+        r.finish = reader.i64();
+    }
+    reader.pod(stats_);
+    if (!reader.ok() || nextArrival_ > out.size())
+        sim::fatal("resume: truncated snapshot image");
+    sim_.restoreClock(capture_time);
+
+    // Re-feed the completions the capturing run already delivered
+    // through the device trace hook, so observer-side accumulators
+    // (the latency histograms) converge to the uninterrupted run's
+    // values. The capture point is quiescent: every record before
+    // nextArrival_ has final timestamps.
+    if (device_.traceHook()) {
+        for (std::uint64_t i = 0; i < nextArrival_; ++i) {
+            const trace::TraceRecord &r = out[i];
+            emmc::CompletedRequest c;
+            c.request.id = i;
+            c.request.arrival = r.arrival;
+            c.request.lbaSector = r.lbaSector;
+            c.request.sizeBytes = r.sizeBytes;
+            c.request.write = r.isWrite();
+            c.serviceStart = r.serviceStart;
+            c.finish = r.finish;
+            c.waited = r.serviceStart > r.arrival;
+            device_.traceHook()(c);
+        }
+    }
+
+    // The capture point had no retry in flight, so the loop's retry
+    // ring starts empty; the device re-arms its idle-GC ticks.
+    device_.load(reader);
+    if (!reader.ok() || reader.remaining() != 0)
+        sim::fatal("resume: corrupt snapshot image");
+}
+
+void
+Replayer::runLoop(trace::TraceSource &src, Sink &sink,
+                  const ReplayOptions &opts)
+{
+    src_ = &src;
+    sink_ = &sink;
+    opts_ = &opts;
+    logicalUnits_ = device_.ftl().logicalUnits();
+    chunk_.resize(kChunk);
+    refill();
+    // Sized for a deep in-flight window up front; growRing() handles
+    // deeper ones, so this is a latency hint, not a limit.
+    ring_.assign(kChunk, RetryEntry{});
+
+    device_.setCompletionCallback(
+        [this](const emmc::CompletedRequest &c) { onCompletion(c); });
+    for (sim::Time tick : opts.spo.ticks) {
+        EMMCSIM_ASSERT(tick > 0, "SPO tick must be positive");
+        sim_.schedule(tick, [this] { spoCut(); });
+    }
+
+    sim_.setArrivals(this);
+    sim_.run();
+    sim_.setArrivals(nullptr);
+    device_.setCompletionCallback(nullptr);
+
+    for (const RetryEntry &e : ring_)
+        EMMCSIM_ASSERT(!e.active,
+                       "replay finished with incomplete requests");
+    src_ = nullptr;
+    sink_ = nullptr;
+    opts_ = nullptr;
+}
+
+sim::Time
+Replayer::nextArrival() const
+{
+    return chunkPos_ < chunkLen_ ? chunk_[chunkPos_].arrival
+                                 : sim::kTimeNever;
+}
+
+void
+Replayer::fireNext()
+{
+    const trace::TraceRecord &r = chunk_[chunkPos_];
+    emmc::IoRequest req;
+    req.id = nextArrival_++;
+    req.arrival = r.arrival;
+    req.sizeBytes = r.sizeBytes;
+    req.write = r.isWrite();
+    req.lbaSector = r.lbaSector;
+    foldAddress(req, logicalUnits_, opts_->wrapAddresses, req.id);
+    track(req.id, req.arrival);
+    submitNow(req);
+    if (++chunkPos_ == chunkLen_)
+        refill();
+}
+
+void
+Replayer::refill()
+{
+    chunkPos_ = 0;
+    chunkLen_ = src_->next(chunk_.data(), chunk_.size());
+    if (chunkLen_ == 0 && src_->failed())
+        sim::fatal("replay: trace source failed mid-stream: " +
+                   src_->error().message());
+}
+
+void
+Replayer::onCompletion(const emmc::CompletedRequest &c)
+{
+    const std::uint64_t id = c.request.id;
+    RetryEntry &rs = entryFor(id);
+    if (rs.firstFinish < 0)
+        rs.firstFinish = c.finish;
+
+    if (!c.ok()) {
+        ++stats_.errorCompletions;
+        if (rs.attempts < opts_->maxRetries) {
+            // Resubmit with exponential backoff, like the block
+            // layer requeueing a failed bio.
+            const std::uint32_t shift = std::min(rs.attempts, 20u);
+            const sim::Time delay = opts_->retryBackoff << shift;
+            ++rs.attempts;
+            ++stats_.retriesScheduled;
+            ++pendingRetries_;
+            emmc::IoRequest retry = c.request;
+            retry.arrival = c.finish + delay;
+            EMMCSIM_LOG_DEBUG(
+                "replay", "request " + std::to_string(id) +
+                              " errored; retry " +
+                              std::to_string(rs.attempts) + "/" +
+                              std::to_string(opts_->maxRetries) +
+                              " at " + std::to_string(retry.arrival) +
+                              " ns");
+            // Retry closure: {this, IoRequest} = 48 bytes — exactly
+            // the event arena's inline budget. If IoRequest grows,
+            // this assert fires before the hot path regresses to
+            // heap-allocating events.
+            auto resubmit = [this, retry] {
+                --pendingRetries_;
+                submitNow(retry);
+            };
+            static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
+                          "retry capture must stay inline");
+            sim_.schedule(retry.arrival, std::move(resubmit));
+            return;
+        }
+        ++stats_.failedRequests;
+        stats_.retryPenalty += c.finish - rs.firstFinish;
+        EMMCSIM_LOG_DEBUG("replay",
+                          "request " + std::to_string(id) +
+                              " failed permanently after " +
+                              std::to_string(rs.attempts) +
+                              " retry attempt(s)");
+    } else if (rs.attempts > 0) {
+        ++stats_.recoveredRequests;
+        stats_.retryPenalty += c.finish - rs.firstFinish;
+    }
+    sink_->finish(rs.arrival, c);
+    rs.active = false;
+}
+
+Replayer::RetryEntry &
+Replayer::entryFor(std::uint64_t id)
+{
+    RetryEntry &e = ring_[id & (ring_.size() - 1)];
+    EMMCSIM_ASSERT(e.active && e.id == id, "retry ring lost a request");
+    return e;
+}
+
+void
+Replayer::track(std::uint64_t id, sim::Time arrival)
+{
+    if (ring_[id & (ring_.size() - 1)].active)
+        growRing(id);
+    RetryEntry &e = ring_[id & (ring_.size() - 1)];
+    e.id = id;
+    e.arrival = arrival;
+    e.firstFinish = -1;
+    e.attempts = 0;
+    e.active = true;
+}
+
+void
+Replayer::growRing(std::uint64_t id)
+{
+    // Ids are assigned consecutively, so the live set fits in
+    // [lo, id]. Any power-of-two size covering that span gives every
+    // live id a distinct residue — the rehash below cannot collide.
+    std::uint64_t lo = id;
+    for (const RetryEntry &e : ring_)
+        if (e.active)
+            lo = std::min(lo, e.id);
+    std::size_t need = ring_.size();
+    while (need < id - lo + 2 || need < 2 * ring_.size())
+        need *= 2;
+    std::vector<RetryEntry> bigger(need);
+    for (const RetryEntry &e : ring_) {
+        if (!e.active)
+            continue;
+        RetryEntry &slot = bigger[e.id & (need - 1)];
+        EMMCSIM_ASSERT(!slot.active, "retry ring rehash collision");
+        slot = e;
+    }
+    ring_.swap(bigger);
 }
 
 void
@@ -101,11 +453,11 @@ Replayer::spoCut()
         return;
     }
     const sim::Time now = sim_.now();
-    if (spoNotify_)
+    if (opts_->spo.notify)
         device_.powerOffNotify(now);
     device_.powerFail(now, parked_);
     ++stats_.spoEvents;
-    sim_.schedule(now + spoPowerOnDelay_, [this] { spoPowerUp(); });
+    sim_.schedule(now + opts_->spo.powerOnDelay, [this] { spoPowerUp(); });
 }
 
 void
@@ -160,421 +512,6 @@ Replayer::maybeCapture(const trace::Trace &out)
                       " ns (" + std::to_string(snapshotImage_.size()) +
                       " bytes, " + std::to_string(nextArrival_) +
                       " arrivals in)");
-}
-
-trace::Trace
-Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
-              const std::string *image)
-{
-    // Validate before scheduling anything: a malformed trace (arrivals
-    // out of order, zero-sized or misaligned requests) would fail deep
-    // inside the device with a far less actionable message.
-    std::string problem = input.validate();
-    if (!problem.empty())
-        sim::fatal("replay: invalid input trace: " + problem);
-    if (!opts.spo.ticks.empty() && opts.snapshotAt >= 0)
-        sim::fatal("replay: SPO injection and snapshotting are "
-                   "mutually exclusive in one replay");
-    if (!std::is_sorted(opts.spo.ticks.begin(), opts.spo.ticks.end()))
-        sim::fatal("replay: SPO ticks must be sorted ascending");
-
-    trace::Trace out = input;
-    stats_ = ReplayStats{};
-    parked_.clear();
-    spoNotify_ = opts.spo.notify;
-    spoPowerOnDelay_ = opts.spo.powerOnDelay;
-    pendingRetries_ = 0;
-    nextArrival_ = 0;
-    snapshotAt_ = opts.snapshotAt;
-    snapshotDone_ = false;
-    snapshotImage_.clear();
-
-    const std::uint64_t logical_units = device_.ftl().logicalUnits();
-
-    // Per-request retry bookkeeping: attempts used so far and the
-    // finish time of the first attempt (to price the retry penalty).
-    // One container, sized to the full in-flight population up front,
-    // so nothing reallocates mid-run. A resumed replay starts from
-    // defaults: the capture point had no retry in flight, and records
-    // completed before it are never resubmitted.
-    struct RetryState
-    {
-        std::uint32_t attempts = 0;
-        sim::Time firstFinish = -1;
-    };
-    std::vector<RetryState> inflight(input.size());
-
-    // Restore the captured clock and bookkeeping before scheduling
-    // anything; the device state itself loads after the arrivals so
-    // re-armed idle-GC ticks sort behind same-tick arrivals, exactly
-    // as in the capturing run (arrivals were all scheduled up front
-    // there and so carry smaller sequence numbers).
-    core::BinReader reader(image ? std::string_view(*image)
-                                 : std::string_view());
-    if (image) {
-        if (sim_.pending() || sim_.now() != 0)
-            sim::fatal("resume: needs a fresh simulator");
-        if (reader.str() != kSnapshotMagic ||
-            reader.u32() != kSnapshotVersion)
-            sim::fatal("resume: not a snapshot image (or wrong "
-                       "version)");
-        const sim::Time capture_time = reader.i64();
-        nextArrival_ = reader.u64();
-        if (reader.u64() != out.size())
-            sim::fatal("resume: snapshot was captured for a different "
-                       "trace");
-        for (trace::TraceRecord &r : out.records()) {
-            r.serviceStart = reader.i64();
-            r.finish = reader.i64();
-        }
-        reader.pod(stats_);
-        if (!reader.ok() || nextArrival_ > out.size())
-            sim::fatal("resume: truncated snapshot image");
-        sim_.restoreClock(capture_time);
-
-        // Re-feed the completions the capturing run already delivered
-        // through the device trace hook, so observer-side accumulators
-        // (the latency histograms) converge to the uninterrupted run's
-        // values. The capture point is quiescent: every record before
-        // nextArrival_ has final timestamps.
-        if (device_.traceHook()) {
-            for (std::uint64_t i = 0; i < nextArrival_; ++i) {
-                const trace::TraceRecord &r = out[i];
-                emmc::CompletedRequest c;
-                c.request.id = i;
-                c.request.arrival = r.arrival;
-                c.request.lbaSector = r.lbaSector;
-                c.request.sizeBytes = r.sizeBytes;
-                c.request.write = r.isWrite();
-                c.serviceStart = r.serviceStart;
-                c.finish = r.finish;
-                c.waited = r.serviceStart > r.arrival;
-                device_.traceHook()(c);
-            }
-        }
-    }
-
-    device_.setCompletionCallback(
-        [this, &out, &opts,
-         &inflight](const emmc::CompletedRequest &c) {
-            const std::uint64_t id = c.request.id;
-            trace::TraceRecord &r = out[id];
-            r.serviceStart = c.serviceStart;
-            r.finish = c.finish;
-            RetryState &rs = inflight[id];
-            if (rs.firstFinish < 0)
-                rs.firstFinish = c.finish;
-
-            if (c.ok()) {
-                if (rs.attempts > 0) {
-                    ++stats_.recoveredRequests;
-                    stats_.retryPenalty += c.finish - rs.firstFinish;
-                }
-                return;
-            }
-
-            ++stats_.errorCompletions;
-            if (rs.attempts >= opts.maxRetries) {
-                ++stats_.failedRequests;
-                stats_.retryPenalty += c.finish - rs.firstFinish;
-                EMMCSIM_LOG_DEBUG(
-                    "replay", "request " + std::to_string(id) +
-                                  " failed permanently after " +
-                                  std::to_string(rs.attempts) +
-                                  " retry attempt(s)");
-                return;
-            }
-
-            // Resubmit with exponential backoff, like the block
-            // layer requeueing a failed bio.
-            const std::uint32_t shift = std::min(rs.attempts, 20u);
-            const sim::Time delay = opts.retryBackoff << shift;
-            ++rs.attempts;
-            ++stats_.retriesScheduled;
-            ++pendingRetries_;
-            emmc::IoRequest retry = c.request;
-            retry.arrival = c.finish + delay;
-            EMMCSIM_LOG_DEBUG(
-                "replay", "request " + std::to_string(id) +
-                              " errored; retry " +
-                              std::to_string(rs.attempts) + "/" +
-                              std::to_string(opts.maxRetries) + " at " +
-                              std::to_string(retry.arrival) + " ns");
-            // Retry closure: {this, IoRequest} = 48 bytes — exactly
-            // the event arena's inline budget. If IoRequest grows,
-            // this assert fires before the hot path regresses to
-            // heap-allocating events.
-            auto resubmit = [this, retry] {
-                --pendingRetries_;
-                submitNow(retry);
-            };
-            static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
-                          "retry capture must stay inline");
-            sim_.schedule(retry.arrival, std::move(resubmit));
-        });
-
-    for (std::size_t i = nextArrival_; i < input.size(); ++i) {
-        const trace::TraceRecord &r = input[i];
-
-        emmc::IoRequest req;
-        req.id = i;
-        req.arrival = r.arrival;
-        req.sizeBytes = r.sizeBytes;
-        req.write = r.isWrite();
-        req.lbaSector = r.lbaSector;
-
-        foldAddress(req, logical_units, opts.wrapAddresses, i);
-
-        auto submit = [this, req] {
-            ++nextArrival_;
-            submitNow(req);
-        };
-        static_assert(sim::InlineAction::fits<decltype(submit)>(),
-                      "submit capture must stay inline");
-        // Front band: arrivals win every same-tick tie against
-        // completions / GC ticks, matching the streaming path (which
-        // schedules arrivals mid-run and would otherwise lose them).
-        sim_.scheduleFront(r.arrival, std::move(submit));
-    }
-
-    if (image) {
-        device_.load(reader);
-        if (!reader.ok() || reader.remaining() != 0)
-            sim::fatal("resume: corrupt snapshot image");
-    }
-
-    for (sim::Time tick : opts.spo.ticks) {
-        EMMCSIM_ASSERT(tick > 0, "SPO tick must be positive");
-        sim_.schedule(tick, [this] { spoCut(); });
-    }
-
-    sim::Simulator::HookId hook = 0;
-    if (snapshotAt_ >= 0) {
-        hook = sim_.addPostEventHook(
-            [this, &out](const sim::Simulator &) { maybeCapture(out); });
-    }
-
-    sim_.run();
-    device_.setCompletionCallback(nullptr);
-    if (snapshotAt_ >= 0) {
-        sim_.removePostEventHook(hook);
-        if (!snapshotDone_)
-            sim::fatal("replay: no quiescent point reached at or after "
-                       "the requested snapshot tick");
-    }
-
-    for (const auto &r : out.records()) {
-        EMMCSIM_ASSERT(r.replayed(),
-                       "replay finished with incomplete requests");
-        EMMCSIM_DCHECK(r.arrival <= r.serviceStart &&
-                           r.serviceStart <= r.finish,
-                       "replayed record has inverted BIOtracer "
-                       "timestamps");
-    }
-    return out;
-}
-
-StreamReplayResult
-Replayer::replayStream(trace::TraceSource &src, const ReplayOptions &opts)
-{
-    if (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)
-        sim::fatal("stream replay: SPO injection and snapshotting need "
-                   "the in-memory path");
-    if (src.failed())
-        sim::fatal("stream replay: source failed before the first "
-                   "record: " + src.error().message());
-
-    stats_ = ReplayStats{};
-    parked_.clear();
-    spoNotify_ = false;
-    spoPowerOnDelay_ = 0;
-    pendingRetries_ = 0;
-    nextArrival_ = 0;
-    snapshotAt_ = -1;
-    snapshotDone_ = false;
-    snapshotImage_.clear();
-
-    StreamReplayResult result;
-    streamSrc_ = &src;
-    streamResult_ = &result;
-    streamChunk_.resize(kStreamChunk);
-    streamNextId_ = 0;
-    streamChunkLastId_ = 0;
-    // Sized for a deep in-flight window up front; streamGrowRing()
-    // handles deeper ones, so this is a latency hint, not a limit.
-    streamRing_.assign(2 * kStreamChunk, StreamRetry{});
-    streamLogicalUnits_ = device_.ftl().logicalUnits();
-    streamWrap_ = opts.wrapAddresses;
-
-    device_.setCompletionCallback(
-        [this, &opts](const emmc::CompletedRequest &c) {
-            StreamRetry &rs = streamEntryFor(c.request.id);
-            if (rs.firstFinish < 0)
-                rs.firstFinish = c.finish;
-
-            if (c.ok()) {
-                if (rs.attempts > 0) {
-                    ++stats_.recoveredRequests;
-                    stats_.retryPenalty += c.finish - rs.firstFinish;
-                }
-                streamFinish(rs, c);
-                return;
-            }
-
-            ++stats_.errorCompletions;
-            if (rs.attempts >= opts.maxRetries) {
-                ++stats_.failedRequests;
-                stats_.retryPenalty += c.finish - rs.firstFinish;
-                streamFinish(rs, c);
-                return;
-            }
-
-            // Same resubmission policy as the in-memory path — the
-            // two must stay byte-identical per record sequence.
-            const std::uint32_t shift = std::min(rs.attempts, 20u);
-            const sim::Time delay = opts.retryBackoff << shift;
-            ++rs.attempts;
-            ++stats_.retriesScheduled;
-            ++pendingRetries_;
-            emmc::IoRequest retry = c.request;
-            retry.arrival = c.finish + delay;
-            auto resubmit = [this, retry] {
-                --pendingRetries_;
-                submitNow(retry);
-            };
-            static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
-                          "retry capture must stay inline");
-            sim_.schedule(retry.arrival, std::move(resubmit));
-        });
-
-    scheduleNextChunk();
-    sim_.run();
-    device_.setCompletionCallback(nullptr);
-
-    if (streamSrc_->failed())
-        sim::fatal("stream replay: source failed mid-stream: " +
-                   streamSrc_->error().message());
-    for (const StreamRetry &e : streamRing_)
-        EMMCSIM_ASSERT(!e.active,
-                       "stream replay finished with incomplete requests");
-    EMMCSIM_ASSERT(result.requests == streamNextId_,
-                   "stream replay lost completions");
-    streamSrc_ = nullptr;
-    streamResult_ = nullptr;
-    return result;
-}
-
-void
-Replayer::scheduleNextChunk()
-{
-    const std::size_t n =
-        streamSrc_->next(streamChunk_.data(), kStreamChunk);
-    if (n == 0) {
-        if (streamSrc_->failed())
-            sim::fatal("stream replay: source failed mid-stream: " +
-                       streamSrc_->error().message());
-        return; // clean EOF: the run drains what is already scheduled
-    }
-    streamChunkLastId_ = streamNextId_ + n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-        const trace::TraceRecord &r = streamChunk_[i];
-
-        emmc::IoRequest req;
-        req.id = streamNextId_++;
-        req.arrival = r.arrival;
-        req.sizeBytes = r.sizeBytes;
-        req.write = r.isWrite();
-        req.lbaSector = r.lbaSector;
-
-        foldAddress(req, streamLogicalUnits_, streamWrap_, req.id);
-        streamInsert(req.id, r.arrival);
-
-        // The chunk's last arrival pulls the next chunk in: refills
-        // piggyback on an arrival event already being scheduled, so
-        // the event count (and thus simulator bookkeeping) matches the
-        // in-memory path exactly. Comparing against the member instead
-        // of capturing a flag keeps the closure at the 48-byte inline
-        // budget ({this, IoRequest}); it is correct because front-band
-        // events pop in schedule order, so the last arrival of chunk k
-        // always runs before any arrival of chunk k+1 exists.
-        auto submit = [this, req] {
-            ++nextArrival_;
-            submitNow(req);
-            if (req.id == streamChunkLastId_)
-                scheduleNextChunk();
-        };
-        static_assert(sim::InlineAction::fits<decltype(submit)>(),
-                      "stream submit capture must stay inline");
-        sim_.scheduleFront(r.arrival, std::move(submit));
-    }
-}
-
-Replayer::StreamRetry &
-Replayer::streamEntryFor(std::uint64_t id)
-{
-    StreamRetry &e = streamRing_[id & (streamRing_.size() - 1)];
-    EMMCSIM_ASSERT(e.active && e.id == id,
-                   "stream retry ring lost a request");
-    return e;
-}
-
-void
-Replayer::streamInsert(std::uint64_t id, sim::Time arrival)
-{
-    if (streamRing_[id & (streamRing_.size() - 1)].active)
-        streamGrowRing(id);
-    StreamRetry &e = streamRing_[id & (streamRing_.size() - 1)];
-    e.id = id;
-    e.arrival = arrival;
-    e.firstFinish = -1;
-    e.attempts = 0;
-    e.active = true;
-}
-
-void
-Replayer::streamGrowRing(std::uint64_t id)
-{
-    // Ids are assigned consecutively, so the live set fits in
-    // [lo, id]. Any power-of-two size covering that span gives every
-    // live id a distinct residue — the rehash below cannot collide.
-    std::uint64_t lo = id;
-    for (const StreamRetry &e : streamRing_)
-        if (e.active)
-            lo = std::min(lo, e.id);
-    std::size_t need = streamRing_.size();
-    while (need < id - lo + 2 || need < 2 * streamRing_.size())
-        need *= 2;
-    std::vector<StreamRetry> bigger(need);
-    for (const StreamRetry &e : streamRing_) {
-        if (!e.active)
-            continue;
-        StreamRetry &slot = bigger[e.id & (need - 1)];
-        EMMCSIM_ASSERT(!slot.active, "stream ring rehash collision");
-        slot = e;
-    }
-    streamRing_.swap(bigger);
-}
-
-void
-Replayer::streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c)
-{
-    StreamReplayResult &res = *streamResult_;
-    ++res.requests;
-    if (c.request.write) {
-        ++res.writeRequests;
-        res.writeBytes += c.request.sizeBytes;
-    } else {
-        res.readBytes += c.request.sizeBytes;
-    }
-    if (res.firstArrival < 0)
-        res.firstArrival = rs.arrival;
-    res.lastArrival = std::max(res.lastArrival, rs.arrival);
-    res.lastFinish = std::max(res.lastFinish, c.finish);
-    const double resp_ms = sim::toMilliseconds(c.finish - rs.arrival);
-    res.responseMs.add(resp_ms);
-    res.responseHistMs.add(resp_ms);
-    res.serviceMs.add(sim::toMilliseconds(c.finish - c.serviceStart));
-    rs.active = false;
 }
 
 } // namespace emmcsim::host

@@ -2,12 +2,19 @@
  * @file
  * Replayer: open-loop trace replay onto a simulated eMMC device.
  *
- * Arrivals are scheduled at their trace timestamps regardless of how
+ * Arrivals are issued at their trace timestamps regardless of how
  * the device keeps up (open loop) — the same methodology the paper
  * uses when replaying its traces on SSDsim. The replayer plays the
  * role of BIOtracer in reverse: it stamps each completed request with
  * the step-2 (service start) and step-3 (finish) times the device
  * reports.
+ *
+ * Every replay — in-memory, resumed, or streamed — runs one loop
+ * over a trace::TraceSource: the replayer is the simulator's arrival
+ * cursor (records are pulled one chunk at a time and never enter the
+ * event queue), and one retry ring tracks the requests in flight.
+ * Completions go to a sink: the in-memory paths stamp the output
+ * trace, the streaming path folds StreamReplayResult.
  *
  * Two robustness extensions ride on the same loop (DESIGN.md §13):
  *
@@ -34,6 +41,7 @@
 
 #include "emmc/device.hh"
 #include "fault/spo.hh"
+#include "sim/arrivals.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "trace/source.hh"
@@ -130,7 +138,7 @@ struct StreamReplayResult
 };
 
 /** Drives one device with one trace. */
-class Replayer
+class Replayer final : private sim::ArrivalCursor
 {
   public:
     /**
@@ -163,20 +171,19 @@ class Replayer
 
     /**
      * Replay a streaming source to completion without materializing
-     * the trace: arrivals are scheduled one chunk at a time (the
-     * chunk's last submit event pulls the next chunk in), so memory
+     * the trace: records are pulled one chunk at a time, so memory
      * holds one chunk plus the in-flight window regardless of trace
-     * length. Byte-identical device behaviour to replay() on the same
-     * records — both paths schedule arrivals in the front sequence
-     * band, so every same-tick tie resolves the same way.
+     * length. Runs the same loop as replay(), so the device sees the
+     * same event order on the same records, SPO included.
      *
-     * SPO injection and snapshotting need the in-memory path and are
-     * rejected (sim::fatal), as is a source that fails mid-stream.
+     * Snapshotting needs the in-memory path (the image stores
+     * per-record timestamps) and is rejected (sim::fatal), as is a
+     * source that fails.
      */
     StreamReplayResult replayStream(trace::TraceSource &src,
                                     const ReplayOptions &opts = {});
 
-    /** Error/retry counters of the most recent replay() call. */
+    /** Error/retry counters of the most recent replay of any kind. */
     const ReplayStats &stats() const { return stats_; }
 
     /** @return true once the requested snapshot was captured. */
@@ -186,10 +193,64 @@ class Replayer
     const std::string &snapshotImage() const { return snapshotImage_; }
 
   private:
+    /** Receives each request's final completion (after retries). */
+    class Sink;
+    /** In-memory sink: stamps the output trace record. */
+    class StampSink;
+    /** Streaming sink: folds completions into StreamReplayResult. */
+    class FoldSink;
+
+    /** Retry bookkeeping of one in-flight request. */
+    struct RetryEntry
+    {
+        std::uint64_t id = 0;
+        sim::Time arrival = 0; ///< original trace arrival
+        sim::Time firstFinish = -1;
+        std::uint32_t attempts = 0;
+        bool active = false;
+    };
+
+    /** Records pulled from the source per refill. */
+    static constexpr std::size_t kChunk = 4096;
+
     /** Shared body of replay() and resume(). */
     trace::Trace run(const trace::Trace &input,
                      const ReplayOptions &opts,
                      const std::string *image);
+
+    /** Validate @p opts and reset the per-replay state. */
+    void begin(const ReplayOptions &opts);
+
+    /** Load a snapshot @p image into @p out, the clock and the device. */
+    void restore(const std::string &image, trace::Trace &out);
+
+    /**
+     * The replay loop: merge @p src's records (ids from nextArrival_
+     * on) into the simulator as arrivals, run to completion, and hand
+     * every final completion to @p sink.
+     */
+    void runLoop(trace::TraceSource &src, Sink &sink,
+                 const ReplayOptions &opts);
+
+    /** @name sim::ArrivalCursor over the current chunk. @{ */
+    sim::Time nextArrival() const override;
+    void fireNext() override;
+    /** @} */
+
+    /** Pull the next chunk from src_ (empty at end of stream). */
+    void refill();
+
+    /** Device completion: retry, or finish through sink_. */
+    void onCompletion(const emmc::CompletedRequest &c);
+
+    /** Ring slot of an in-flight id (asserts it is tracked). */
+    RetryEntry &entryFor(std::uint64_t id);
+
+    /** Track a newly arrived id; grows the ring if its slot is busy. */
+    void track(std::uint64_t id, sim::Time arrival);
+
+    /** Double the ring until every active id keeps a distinct slot. */
+    void growRing(std::uint64_t id);
 
     /** Submit @p req now, or park it while the device is off. */
     void submitNow(const emmc::IoRequest &req);
@@ -203,56 +264,23 @@ class Replayer
     /** Post-event hook body: capture once quiescent past snapshotAt_. */
     void maybeCapture(const trace::Trace &out);
 
-    /** @name Streaming-replay machinery (see replayStream). @{ */
-
-    /** Records pulled from the source per refill. */
-    static constexpr std::size_t kStreamChunk = 4096;
-
-    /** Per-request retry bookkeeping, addressed id mod ring size. */
-    struct StreamRetry
-    {
-        std::uint64_t id = 0;
-        sim::Time arrival = 0;     ///< original trace arrival
-        sim::Time firstFinish = -1;
-        std::uint32_t attempts = 0;
-        bool active = false;
-    };
-
-    /** Pull + schedule the next chunk of arrivals from streamSrc_. */
-    void scheduleNextChunk();
-
-    /** Ring slot for an in-flight id (asserts it is tracked). */
-    StreamRetry &streamEntryFor(std::uint64_t id);
-
-    /** Track a newly scheduled id; grows the ring if its slot is busy. */
-    void streamInsert(std::uint64_t id, sim::Time arrival);
-
-    /** Double the ring until every active id keeps a distinct slot. */
-    void streamGrowRing(std::uint64_t id);
-
-    /** Fold a finally-completed request into streamResult_. */
-    void streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c);
-
-    trace::TraceSource *streamSrc_ = nullptr;
-    StreamReplayResult *streamResult_ = nullptr;
-    std::vector<trace::TraceRecord> streamChunk_;
-    std::vector<StreamRetry> streamRing_;
-    std::uint64_t streamNextId_ = 0;
-    std::uint64_t streamChunkLastId_ = 0;
-    std::uint64_t streamLogicalUnits_ = 0;
-    bool streamWrap_ = true;
-    /** @} */
-
     sim::Simulator &sim_;
     emmc::EmmcDevice &device_;
     ReplayStats stats_;
 
-    /** @name Per-replay orchestration state (reset by run()). @{ */
+    /** @name Per-replay state (set up by begin() and runLoop()). @{ */
+    trace::TraceSource *src_ = nullptr;
+    Sink *sink_ = nullptr;
+    const ReplayOptions *opts_ = nullptr;
+    std::vector<trace::TraceRecord> chunk_;
+    std::size_t chunkPos_ = 0;
+    std::size_t chunkLen_ = 0;
+    std::uint64_t logicalUnits_ = 0;
+    /** In-flight retry state, addressed id & (size - 1). */
+    std::vector<RetryEntry> ring_;
     std::vector<emmc::IoRequest> parked_; ///< awaiting power-up re-issue
-    bool spoNotify_ = false;
-    sim::Time spoPowerOnDelay_ = 0;
     std::uint64_t pendingRetries_ = 0; ///< scheduled, not yet re-submitted
-    std::uint64_t nextArrival_ = 0;    ///< trace records submitted so far
+    std::uint64_t nextArrival_ = 0; ///< records submitted; the next id
     sim::Time snapshotAt_ = -1;
     bool snapshotDone_ = false;
     std::string snapshotImage_;

@@ -269,65 +269,4 @@ registerReplayerMetrics(Registry &registry,
                     stats.recoveryTime);
 }
 
-void
-registerEventCoreMetrics(Registry &registry,
-                         const sim::Simulator &simulator,
-                         const std::string &prefix)
-{
-    const std::string &p = prefix;
-    const sim::EventQueue &q = simulator.events();
-
-    // Two-tier scheduler traffic: which tier absorbed each schedule,
-    // and how the overflow flows back at epoch advances.
-    registry.counter(p + "sim.events.scheduled",
-                     [&q] { return q.scheduledCount(); });
-    registry.counter(p + "sim.events.wheel_scheduled",
-                     [&q] { return q.wheelScheduled(); });
-    registry.counter(p + "sim.events.overflow_scheduled",
-                     [&q] { return q.overflowScheduled(); });
-    registry.counter(p + "sim.events.wheel_promotions",
-                     [&q] { return q.wheelPromotions(); });
-    registry.counter(p + "sim.events.wheel_epochs",
-                     [&q] { return q.wheelEpochs(); });
-    registry.counter(p + "sim.events.compactions",
-                     [&q] { return q.heapCompactions(); });
-    registry.counter(p + "sim.events.drain_sorts",
-                     [&q] { return q.drainSorts(); });
-
-    // Batched same-tick dispatch.
-    registry.counter(p + "sim.events.batches",
-                     [&q] { return q.dispatchBatches(); });
-    registry.counter(p + "sim.events.batched_events",
-                     [&q] { return q.batchedEvents(); });
-    registry.counter(p + "sim.events.max_batch", [&q] {
-        return static_cast<std::uint64_t>(q.maxBatchSize());
-    });
-
-    // Occupancy: where the pending set currently sits.
-    registry.gauge(p + "sim.events.live", [&q] {
-        return static_cast<double>(q.size());
-    });
-    registry.gauge(p + "sim.events.wheel_occupancy", [&q] {
-        return static_cast<double>(q.wheelOccupancy());
-    });
-    registry.gauge(p + "sim.events.overflow_size", [&q] {
-        return static_cast<double>(q.overflowSize());
-    });
-    registry.gauge(p + "sim.events.staged_run", [&q] {
-        return static_cast<double>(q.stagedRunEntries());
-    });
-    registry.gauge(
-        p + "sim.events.wheel_buckets",
-        [&q] { return static_cast<double>(q.wheelBucketCount()); },
-        /*sampled=*/false);
-    registry.gauge(
-        p + "sim.events.wheel_bucket_width_ns",
-        [&q] { return static_cast<double>(q.wheelBucketWidth()); },
-        /*sampled=*/false);
-    registry.gauge(
-        p + "sim.events.arena_high_water",
-        [&q] { return static_cast<double>(q.arenaHighWater()); },
-        /*sampled=*/false);
-}
-
 } // namespace emmcsim::obs

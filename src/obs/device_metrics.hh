@@ -59,18 +59,6 @@ void registerReplayerMetrics(Registry &registry,
                              const host::ReplayStats &stats,
                              const std::string &prefix = "");
 
-/**
- * Register event-core scheduler metrics ("sim.events.*"): arena
- * occupancy, calendar-wheel bucket occupancy and overflow-heap size,
- * wheel/overflow schedule counts, epoch advances and promotions, and
- * dispatch-batch statistics. Pure pull-side closures over the queue's
- * existing counters — nothing is added to the event hot path, and a
- * run without --metrics never reads them (zero-cost when off).
- */
-void registerEventCoreMetrics(Registry &registry,
-                              const sim::Simulator &simulator,
-                              const std::string &prefix = "");
-
 } // namespace emmcsim::obs
 
 #endif // EMMCSIM_OBS_DEVICE_METRICS_HH

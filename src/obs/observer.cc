@@ -25,8 +25,6 @@ DeviceObserver::DeviceObserver(sim::Simulator &simulator,
 {
     if (metricsEnabled()) {
         registerDeviceMetrics(registry_, device_, opts_.prefix);
-        if (opts_.eventCore)
-            registerEventCoreMetrics(registry_, sim_, opts_.prefix);
         if (opts_.replayStats != nullptr)
             registerReplayerMetrics(registry_, *opts_.replayStats,
                                     opts_.prefix);

@@ -62,15 +62,6 @@ struct ObserverOptions
     bool attribution = false;
     /** Slowest-request count kept by the attribution summary. */
     std::size_t slowestK = 10;
-    /**
-     * Include scheduler self-metrics ("sim.events.*"). These count
-     * event-core activity in this process, not simulated device
-     * state: a snapshot-resumed run re-schedules its pending events
-     * and so legitimately reports different figures from the
-     * uninterrupted run. Disable when a report must be byte-identical
-     * across snapshot resume.
-     */
-    bool eventCore = true;
     /** Metric name prefix (must end with '.' when non-empty). */
     std::string prefix;
 

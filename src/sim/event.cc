@@ -1,12 +1,17 @@
 #include "sim/event.hh"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace emmcsim::sim {
+
+EventQueue::EventQueue()
+{
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+    heap_.reserve(kChunkSlots);
+    freelist_.reserve(kChunkSlots);
+}
 
 bool
 EventQueue::cancel(EventId id)
@@ -21,14 +26,9 @@ EventQueue::cancel(EventId id)
     EMMCSIM_DCHECK(liveCount_ > 0,
                    "cancel with zero live events (ledger drift)");
     --liveCount_;
-    // The pending entry (wheel bucket, heap, drain run, or batch
-    // tail) stays behind as a dead entry (lazy delete). Compaction
-    // waits out an in-flight batch: it cannot reach the batch tail,
-    // so sweeping mid-batch would zero the dead-entry ledger while
-    // dead tail entries remain.
+    // The heap entry stays behind as a dead entry (lazy delete).
     ++deadEntries_;
-    if (!batchActive_ && deadEntries_ > pendingEntries() / 2 &&
-        pendingEntries() >= kCompactMin)
+    if (deadEntries_ > heap_.size() / 2 && heap_.size() >= kCompactMin)
         compact();
     return true;
 }
@@ -42,241 +42,11 @@ EventQueue::retireSlot(std::uint32_t slot)
 }
 
 void
-EventQueue::tuneWheel(Time shortestLatency, Time longestLatency)
-{
-    EMMCSIM_ASSERT(shortestLatency > 0 &&
-                       longestLatency >= shortestLatency,
-                   "wheel tuning wants 0 < shortest <= longest");
-    EMMCSIM_ASSERT(!batchActive_,
-                   "tuneWheel from inside a dispatch batch");
-    // Retuning (or tuning with events pending): pull every staged
-    // entry back into the heap so nothing is stranded in a bucket
-    // the new geometry no longer covers.
-    if (tuned_)
-        flushWheelToHeap();
-
-    // Bucket width: the largest power of two not above a quarter of
-    // the shortest recurring latency, so even the tightest completion
-    // cluster spreads over ~4 buckets; floored so a degenerate config
-    // cannot ask for nanosecond buckets.
-    unsigned shift = kMinBucketShift;
-    while ((Time{1} << (shift + 1)) <= shortestLatency / 4 &&
-           shift + 1 < 40)
-        ++shift;
-    bucketShift_ = shift;
-
-    // Window span: four times the longest latency, so an op scheduled
-    // from anywhere in the first three quarters of the window still
-    // lands in-wheel (measured on the clustered-latency benchmark,
-    // 2x leaves ~18% of schedules overflowing, 4x ~9%).
-    const Time width = Time{1} << bucketShift_;
-    std::size_t want = static_cast<std::size_t>(
-        (4 * longestLatency + width - 1) >> bucketShift_);
-    std::size_t n = kMinBuckets;
-    while (n < want && n < kMaxBuckets)
-        n <<= 1;
-    nBuckets_ = n;
-    buckets_.resize(nBuckets_);
-    wheelBase_ = lastPopTime_ & ~(width - 1);
-    nextScan_ = 0;
-    tuned_ = true;
-}
-
-void
-EventQueue::flushWheelToHeap()
-{
-    for (std::size_t i = runPos_; i < run_.size(); ++i)
-        heapPush(run_[i]);
-    run_.clear();
-    runPos_ = 0;
-    for (std::vector<HeapEntry> &b : buckets_) {
-        for (const HeapEntry &e : b)
-            heapPush(e);
-        b.clear();
-    }
-    wheelCount_ = 0;
-    nextScan_ = 0;
-}
-
-void
-EventQueue::refill() const
-{
-    // The run is consumed; stage whatever serves the next pops.
-    if (!tuned_) {
-        if (heap_.size() >= kDrainSortMin)
-            sortPendingIntoRun();
-        return;
-    }
-    while (true) {
-        std::size_t i = nextScan_;
-        while (i < nBuckets_ && buckets_[i].empty())
-            ++i;
-        if (i == nBuckets_) {
-            // Wheel drained: re-anchor the window on the overflow
-            // front (an epoch advance) and promote the near-horizon
-            // overflow back into buckets. Perf-only, so it is skipped
-            // mid-batch — a promotion could hide a same-tick entry
-            // from the batch's heap-front interleave probe.
-            if (batchActive_)
-                return;
-            while (!heap_.empty() && !entryLive(heap_.front())) {
-                heapPopFront();
-                EMMCSIM_DCHECK(deadEntries_ > 0,
-                               "dead heap entry not accounted for");
-                --deadEntries_;
-            }
-            if (heap_.empty())
-                return;
-            const Time width = Time{1} << bucketShift_;
-            const Time span = static_cast<Time>(nBuckets_)
-                              << bucketShift_;
-            const Time front = heap_.front().when;
-            if (front > std::numeric_limits<Time>::max() - span)
-                return; // pathological far-future timer; serve as heap
-            wheelBase_ = front & ~(width - 1);
-            nextScan_ = 0;
-            ++epochs_;
-            const Time wheelEnd = wheelBase_ + span;
-            while (!heap_.empty() && heap_.front().when < wheelEnd) {
-                const HeapEntry e = heap_.front();
-                heapPopFront();
-                if (!entryLive(e)) {
-                    EMMCSIM_DCHECK(deadEntries_ > 0,
-                                   "dead heap entry not accounted "
-                                   "for");
-                    --deadEntries_;
-                    continue;
-                }
-                buckets_[bucketIndex(e.when)].push_back(e);
-                ++wheelCount_;
-                ++promotions_;
-            }
-            continue; // rescan: buckets now hold the promoted work
-        }
-        // Serve the heap directly when its front precedes everything
-        // the wheel still holds (bucket i's entries are all >= its
-        // start time).
-        if (!heap_.empty() && heap_.front().when < bucketStart(i))
-            return;
-        run_.swap(buckets_[i]);
-        wheelCount_ -= run_.size();
-        nextScan_ = i + 1;
-        sortRunEntries();
-        runPos_ = 0;
-        return;
-    }
-}
-
-void
-EventQueue::sortRunEntries() const
-{
-    // Bucket-distribution sort by (when, seq): interpolate each
-    // entry's time into ~n buckets, scatter once, std::sort the rare
-    // oversized bucket, and finish with one insertion pass (nearly
-    // sorted input, ~2 compares per element). On random times this is
-    // ~5x faster than std::sort, whose branchy partitioning
-    // mispredicts on every compare; on degenerate distributions it
-    // falls back to the per-bucket std::sort and stays O(n log n).
-    const std::size_t n = run_.size();
-    if (n < 2)
-        return;
-    Time lo = run_[0].when;
-    Time hi = run_[0].when;
-    for (const HeapEntry &e : run_) {
-        lo = std::min(lo, e.when);
-        hi = std::max(hi, e.when);
-    }
-    if (lo == hi) {
-        // Single tick: FIFO order is just the sequence number.
-        std::sort(run_.begin(), run_.end(),
-                  [](const HeapEntry &a, const HeapEntry &b) {
-                      return a.seq < b.seq;
-                  });
-        return;
-    }
-    std::size_t buckets = 1;
-    while (buckets < n)
-        buckets <<= 1;
-    // 128-bit intermediate: (hi - lo) can span the full Time range.
-    const unsigned __int128 range =
-        static_cast<unsigned __int128>(
-            static_cast<std::uint64_t>(hi - lo)) +
-        1;
-    auto bucketOf = [&](Time w) {
-        return static_cast<std::size_t>(
-            (static_cast<unsigned __int128>(
-                 static_cast<std::uint64_t>(w - lo)) *
-             buckets) /
-            range);
-    };
-    sortCounts_.assign(buckets + 1, 0);
-    for (const HeapEntry &e : run_)
-        ++sortCounts_[bucketOf(e.when)];
-    std::uint32_t sum = 0;
-    for (std::size_t i = 0; i <= buckets; ++i) {
-        const std::uint32_t c = sortCounts_[i];
-        sortCounts_[i] = sum;
-        sum += c;
-    }
-    // The run/heap/scratch buffers rotate through the final swap (and
-    // sortPendingIntoRun's); carry the largest capacity along so a
-    // sort over a front-trimmed set (n one less than peak) never
-    // plants an undersized buffer that reallocs when it rotates back
-    // into the heap at peak load.
-    if (sortScratch_.capacity() < run_.capacity())
-        sortScratch_.reserve(run_.capacity());
-    sortScratch_.resize(n);
-    for (const HeapEntry &e : run_)
-        sortScratch_[sortCounts_[bucketOf(e.when)]++] = e;
-    // sortCounts_[i] is now bucket i's end offset.
-    std::uint32_t start = 0;
-    for (std::size_t i = 0; i < buckets; ++i) {
-        const std::uint32_t end = sortCounts_[i];
-        if (end - start > 16)
-            std::sort(sortScratch_.begin() + start,
-                      sortScratch_.begin() + end, earlier);
-        start = end;
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-        if (!earlier(sortScratch_[i], sortScratch_[i - 1]))
-            continue;
-        const HeapEntry x = sortScratch_[i];
-        std::size_t j = i;
-        while (j > 0 && earlier(x, sortScratch_[j - 1])) {
-            sortScratch_[j] = sortScratch_[j - 1];
-            --j;
-        }
-        sortScratch_[j] = x;
-    }
-    run_.swap(sortScratch_);
-}
-
-void
 EventQueue::compact()
 {
-    // Sweep every dead entry in place — the run keeps its sorted
-    // order, wheel buckets their (unsorted) contents, and the heap is
-    // rebuilt bottom-up (Floyd): O(n) total, amortised O(1) per
-    // cancel by the > n/2 trigger. Never called mid-batch (see
-    // cancel()), so the batch tail holds no entries to sweep.
-    EMMCSIM_DCHECK(!batchActive_, "compaction inside a dispatch batch");
-    std::size_t runKept = 0;
-    for (std::size_t i = runPos_; i < run_.size(); ++i) {
-        if (entryLive(run_[i]))
-            run_[runKept++] = run_[i];
-    }
-    run_.resize(runKept);
-    runPos_ = 0;
-    for (std::size_t b = nextScan_; b < nBuckets_; ++b) {
-        std::vector<HeapEntry> &bucket = buckets_[b];
-        std::size_t bKept = 0;
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (entryLive(bucket[i]))
-                bucket[bKept++] = bucket[i];
-        }
-        wheelCount_ -= bucket.size() - bKept;
-        bucket.resize(bKept);
-    }
+    // Sweep every dead entry in place and rebuild the heap bottom-up
+    // (Floyd): O(n) total, amortised O(1) per cancel by the > n/2
+    // trigger.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
         if (entryLive(heap_[i]))
@@ -291,40 +61,14 @@ EventQueue::compact()
     ++compactions_;
 }
 
-Time
-EventQueue::nextTime() const
-{
-    // Mid-batch the earliest pending work is the current tick for as
-    // long as any live batch-tail entry remains (audit hooks and
-    // samplers call this between batch entries).
-    if (batchActive_) {
-        for (std::size_t i = batchPos_; i < batch_.size(); ++i) {
-            if (entryLive(batch_[i]))
-                return batchTick_;
-        }
-    }
-    dropDeadFronts();
-    while (runPos_ >= run_.size()) {
-        refill();
-        if (runPos_ >= run_.size())
-            break;
-        dropDeadFronts();
-    }
-    const bool haveRun = runPos_ < run_.size();
-    if (!haveRun && heap_.empty())
-        return kTimeNever;
-    if (haveRun &&
-        (heap_.empty() || earlier(run_[runPos_], heap_.front())))
-        return run_[runPos_].when;
-    return heap_.front().when;
-}
-
 bool
 EventQueue::pop(Time &when_out, EventAction &action_out)
 {
-    HeapEntry e;
-    if (!takeEarliest(e))
+    dropDeadFront();
+    if (heap_.empty())
         return false;
+    const HeapEntry e = heap_.front();
+    heapPopFront();
     EMMCSIM_DCHECK(e.when >= lastPopTime_, "event popped out of order");
     lastPopTime_ = e.when;
     when_out = e.when;
@@ -399,105 +143,48 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
     check(!liveWithoutAction,
           "event queue: live slot lost its action");
 
-    // Pending coverage: each live slot has exactly one live entry
-    // across *all* tiers — overflow heap, the unconsumed tail of the
-    // drain run, wheel buckets, and the unfired tail of an in-flight
-    // dispatch batch — and the dead-entry counter equals the recount.
+    // Heap coverage: each live slot has exactly one live heap entry,
+    // every entry carries an issued sequence number, and the
+    // dead-entry counter equals the recount.
     std::size_t liveEntries = 0;
     std::size_t deadEntries = 0;
     std::vector<bool> seen(slotCount_, false);
     bool duplicated = false;
     bool seqSane = true;
-    auto visit = [&](const HeapEntry &e) {
-        // Each band has its own counter: a pending entry must carry a
-        // sequence number its band already issued.
-        if (e.seq < kNormalSeqBase ? e.seq >= nextFrontSeq_
-                                   : e.seq >= nextSeq_)
+    for (const HeapEntry &e : heap_) {
+        if (e.seq >= nextSeq_)
             seqSane = false;
         if (!entryLive(e)) {
             ++deadEntries;
-            return;
+            continue;
         }
         ++liveEntries;
         if (seen[e.slot])
             duplicated = true;
         seen[e.slot] = true;
-    };
-    for (const HeapEntry &e : heap_)
-        visit(e);
-    for (std::size_t i = runPos_; i < run_.size(); ++i)
-        visit(run_[i]);
-    std::size_t bucketEntries = 0;
-    bool bucketsFiled = true;
-    bool consumedBucketsEmpty = true;
-    for (std::size_t b = 0; b < nBuckets_; ++b) {
-        if (b < nextScan_ && !buckets_[b].empty())
-            consumedBucketsEmpty = false;
-        bucketEntries += buckets_[b].size();
-        for (const HeapEntry &e : buckets_[b]) {
-            if (bucketIndex(e.when) != b)
-                bucketsFiled = false;
-            visit(e);
-        }
     }
-    for (std::size_t i = batchPos_; i < batch_.size(); ++i)
-        visit(batch_[i]);
     check(!duplicated,
-          "event queue: live slot appears twice in the pending set");
+          "event queue: live slot appears twice in the heap");
     check(liveEntries == liveCount_,
-          "event queue: pending live-entry count disagrees with the "
+          "event queue: live heap-entry count disagrees with the "
           "ledger");
     check(deadEntries == deadEntries_,
           "event queue: dead-entry counter disagrees with a recount");
+    check(seqSane,
+          "event queue: heap entry carries an unissued sequence "
+          "number");
 
-    // Wheel-tier structure: the occupancy counter matches a recount,
-    // entries sit in the bucket their time maps to, consumed buckets
-    // are empty, and the scan cursor is in range.
-    check(bucketEntries == wheelCount_,
-          "event queue: wheel occupancy disagrees with a recount");
-    check(bucketsFiled,
-          "event queue: bucket entry filed under the wrong index");
-    check(consumedBucketsEmpty,
-          "event queue: consumed wheel bucket is not empty");
-    check(nextScan_ <= nBuckets_,
-          "event queue: wheel scan cursor past the last bucket");
-    check(tuned_ || wheelCount_ == 0,
-          "event queue: untuned wheel holds entries");
-
-    // Structural order: the heap property ((when, seq) parent <=
-    // children) on the heap, sortedness on the drain run and the
-    // batch tail, and sequence-number sanity everywhere.
+    // Structural order: (when, seq) parent <= children.
     bool ordered = true;
     for (std::size_t i = 1; i < heap_.size(); ++i) {
         if (earlier(heap_[i], heap_[(i - 1) / kArity]))
             ordered = false;
     }
     check(ordered, "event queue: heap ordering property violated");
-    bool runSorted = true;
-    for (std::size_t i = runPos_ + 1; i < run_.size(); ++i) {
-        if (earlier(run_[i], run_[i - 1]))
-            runSorted = false;
-    }
-    check(runSorted, "event queue: drain run lost its sort order");
-    check(runPos_ <= run_.size(),
-          "event queue: drain-run cursor past the end of the run");
-    bool batchSane = true;
-    for (std::size_t i = batchPos_; i < batch_.size(); ++i) {
-        if (batch_[i].when != batchTick_ ||
-            (i > batchPos_ && batch_[i].seq <= batch_[i - 1].seq))
-            batchSane = false;
-    }
-    check(!batchActive_ || batchSane,
-          "event queue: batch tail broke same-tick sequence order");
-    check(batchActive_ || batch_.empty(),
-          "event queue: batch scratch not empty between dispatches");
-    check(seqSane,
-          "event queue: pending entry carries an unissued sequence "
-          "number");
 
     // Time monotonicity: nothing pending may fire before the last
     // popped event (nextTime skips dead entries).
-    Time next = nextTime();
+    const Time next = nextTime();
     check(next == kTimeNever || next >= lastPopTime_,
           "event queue: pending event earlier than last popped event");
     return checks;

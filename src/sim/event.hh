@@ -2,7 +2,7 @@
  * @file
  * Event and EventQueue: the discrete-event core of the simulator.
  *
- * Design (see DESIGN.md §11 and §16):
+ * Design (see DESIGN.md §11):
  *
  *  - **Slot-recycling arena.** Event state lives in 64-byte slots
  *    allocated in fixed-size chunks (stable addresses — growing the
@@ -19,48 +19,16 @@
  *    state — scheduling into a recycled slot — performs zero heap
  *    allocations and zero action moves.
  *
- *  - **Two-tier scheduler: calendar wheel over a 4-ary heap.** NAND
- *    op completions cluster at a handful of fixed latencies, so almost
- *    every schedule lands in a narrow near-future horizon. Once
- *    tuneWheel() has sized the wheel from the device's latency range,
- *    a schedule inside the horizon is an O(1) push into an unsorted
- *    time bucket; everything else (far-future timers, events behind
- *    the scan cursor) overflows into the generation-tagged 4-ary heap
- *    ordered by (time, sequence). Buckets are swept lazily: a bucket
- *    is sorted only when it becomes the earliest pending work, and
- *    when the wheel drains the window re-anchors on the heap front
- *    (an "epoch" advance) and promotes the near-horizon overflow back
- *    into buckets. Every pop takes the earlier of the staged-run and
- *    heap fronts under the same (time, sequence) total order, so the
- *    firing order — and byte-for-byte replay output — is identical to
- *    a pure heap. An untuned queue degenerates to the pure heap (plus
- *    the drain-sort below), which is what generic tests exercise.
- *
- *  - **Same-tick FIFO across tiers.** The per-schedule sequence number
- *    keeps same-tick events firing in scheduling order (FIFO), which
- *    the replayer relies on for simultaneous arrivals; cancellation
- *    leaves a dead entry behind (detected by generation mismatch) in
- *    whichever tier holds it, and the pending set is compacted in
+ *  - **One 4-ary heap ordered by (time, sequence).** The
+ *    per-schedule sequence number keeps same-tick events firing in
+ *    scheduling order (FIFO). Cancellation leaves a dead entry behind
+ *    (detected by generation mismatch), and the heap is compacted in
  *    place when dead entries dominate.
  *
- *  - **Sorted drain run.** Popping n events off a large heap touches
- *    O(log n) scattered cache lines each; sorting the same entries
- *    once costs the same O(n log n) compares but streams memory
- *    sequentially. An untuned queue sorts the whole heap into a run
- *    past a size threshold; a tuned queue stages one bucket at a time
- *    through the same run. New events still enter their tier
- *    directly, and the run/heap front compare keeps the total order.
- *
- *  - **Batched same-tick dispatch.** dispatchTick() drains every
- *    event at the current tick into a reusable scratch batch and runs
- *    the actions in place, amortizing queue maintenance across the
- *    tick. Actions may schedule more work at the very same tick
- *    (streaming-replay arrivals do); those land in the overflow heap
- *    and are interleaved back by sequence number, so the batch fires
- *    in exactly the order a one-at-a-time pop loop would. The slot's
- *    generation is bumped *before* each action runs, so a firing
- *    event can no longer be cancelled, and the slot is recycled only
- *    after its action returns.
+ * Replay arrivals never enter this queue: the Simulator merges an
+ * ArrivalCursor (sim/arrivals.hh) with the queue front, so the queue
+ * holds only device work — a handful of live events on a device that
+ * serves one command at a time.
  */
 
 #ifndef EMMCSIM_SIM_EVENT_HH
@@ -114,12 +82,23 @@ struct EventId
  * This class owns no clock of its own; Simulator advances time by
  * popping the earliest event. Cancellation is lazy: cancelled events
  * leave a dead entry behind that is skipped when reached and swept
- * out wholesale once dead entries dominate the pending set.
+ * out wholesale once dead entries dominate the heap.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    /**
+     * Allocates the first arena chunk, and heap and freelist room for
+     * its slots, up front. A device keeps only a handful of events
+     * live, so a whole replay then schedules without touching the
+     * allocator. (Measured with glibc on e2ebench's replay_550k setup
+     * loop, which builds and drops a full-size HPS device repeatedly:
+     * with these blocks allocated before the device's tables, every
+     * rebuild reuses the dropped device's table memory, 30k minor
+     * faults; allocated at the first schedule instead, every other
+     * rebuild faulted it in afresh, 60k.)
+     */
+    EventQueue();
 
     /**
      * Schedule an action at an absolute time. The callable is built
@@ -135,38 +114,6 @@ class EventQueue
     template <typename F>
     EventId
     schedule(Time when, F &&fn)
-    {
-        return scheduleSeq(when, nextSeq_++, std::forward<F>(fn));
-    }
-
-    /**
-     * Schedule in the *front sequence band*: at a tied tick, a
-     * front-band event fires before every normal-band event, no matter
-     * when either was scheduled.
-     *
-     * Replay arrivals use this. The in-memory replayer schedules all
-     * arrivals before anything else, so they historically won every
-     * same-tick tie against completions by holding the lowest sequence
-     * numbers; a streaming replayer schedules arrivals chunk by chunk
-     * *during* the run and would lose those ties. Putting arrivals in
-     * their own low band makes both paths pop in the same order — the
-     * byte-identity contract between them rests on this.
-     *
-     * Front-band events are FIFO among themselves (their own counter).
-     */
-    template <typename F>
-    EventId
-    scheduleFront(Time when, F &&fn)
-    {
-        EMMCSIM_ASSERT(nextFrontSeq_ + 1 < kNormalSeqBase,
-                       "front sequence band exhausted");
-        return scheduleSeq(when, nextFrontSeq_++, std::forward<F>(fn));
-    }
-
-  private:
-    template <typename F>
-    EventId
-    scheduleSeq(Time when, std::uint64_t seq, F &&fn)
     {
         EMMCSIM_ASSERT(when >= 0, "event scheduled at negative time");
         // Documented contract: never behind the simulation clock.
@@ -194,7 +141,7 @@ class EventQueue
         else
             sl.action.emplace(std::forward<F>(fn));
 
-        pushEntry(HeapEntry{when, seq, slot, sl.gen});
+        heapPush(HeapEntry{when, nextSeq_++, slot, sl.gen});
         ++liveCount_;
         if (liveCount_ > highWater_)
             highWater_ = liveCount_;
@@ -202,7 +149,6 @@ class EventQueue
         return EventId{slot, sl.gen};
     }
 
-  public:
     /**
      * Cancel a previously scheduled event.
      *
@@ -219,23 +165,12 @@ class EventQueue
     std::size_t size() const { return liveCount_; }
 
     /** @return time of the earliest live event; kTimeNever if empty. */
-    Time nextTime() const;
-
-    /**
-     * Size the calendar wheel from the device's fixed operation
-     * latencies: bucket width a quarter of the shortest latency
-     * (rounded down to a power of two), window span twice the longest
-     * (rounded up, clamped). Idempotent; safe to call with events
-     * pending (staged wheel state is flushed back into the heap
-     * first). Must not be called from inside a firing action.
-     *
-     * @param shortestLatency Shortest recurring delay (> 0).
-     * @param longestLatency  Longest common delay (>= shortest).
-     */
-    void tuneWheel(Time shortestLatency, Time longestLatency);
-
-    /** @return true once tuneWheel() configured the calendar tier. */
-    bool wheelTuned() const { return tuned_; }
+    Time
+    nextTime() const
+    {
+        dropDeadFront();
+        return heap_.empty() ? kTimeNever : heap_.front().when;
+    }
 
     /**
      * Pop the earliest live event without running it (the caller
@@ -256,7 +191,8 @@ class EventQueue
      * event is committed but before its action runs — the caller
      * advances its clock there. The firing event's slot is recycled
      * only after the action returns; the action may freely schedule
-     * or cancel other events (slot addresses are chunk-stable).
+     * or cancel other events (slot addresses are chunk-stable), and
+     * can no longer cancel itself (its generation is already bumped).
      *
      * @retval true  An event fired.
      * @retval false The queue was empty.
@@ -265,108 +201,25 @@ class EventQueue
     bool
     dispatchNext(PreInvoke &&preInvoke)
     {
-        HeapEntry e;
-        if (!takeEarliest(e))
+        dropDeadFront();
+        if (heap_.empty())
             return false;
-        // Upcoming events' slots are random (cold) cache lines; start
-        // pulling them in while the current action runs. The drain run
-        // exposes the exact pop order, so prefetch several pops ahead.
-        if (runPos_ < run_.size()) {
-            const std::size_t ahead =
-                std::min(runPos_ + kPrefetchAhead, run_.size() - 1);
-            __builtin_prefetch(&slotAt(run_[ahead].slot));
-            __builtin_prefetch(&slotAt(run_[runPos_].slot));
-        } else if (!heap_.empty()) {
-            __builtin_prefetch(&slotAt(heap_.front().slot));
-        }
-        EMMCSIM_DCHECK(e.when >= lastPopTime_,
-                       "event popped out of order");
+        const HeapEntry e = heap_.front();
+        heapPopFront();
+        EMMCSIM_DCHECK(e.when >= lastPopTime_, "event popped out of order");
         lastPopTime_ = e.when;
-        fireEntry(e, preInvoke);
+        Slot &sl = slotAt(e.slot);
+        ++sl.gen; // a firing event can no longer be cancelled
+        EMMCSIM_DCHECK(liveCount_ > 0,
+                       "dispatch with zero live events (ledger drift)");
+        --liveCount_;
+        firing_ = e.slot;
+        preInvoke(e.when);
+        sl.action();
+        sl.action = nullptr; // release captured state eagerly
+        firing_ = EventId::kNoSlot;
+        freelist_.push_back(e.slot);
         return true;
-    }
-
-    /**
-     * Drain and run *every* event at the earliest pending tick (the
-     * batched simulator hot loop). Same-tick entries are gathered
-     * into a reusable scratch batch once, then dispatched in place;
-     * events an action schedules at the same tick land in the
-     * overflow heap and are interleaved back by sequence number, so
-     * the firing order matches a one-at-a-time pop loop exactly.
-     *
-     * @p preInvoke runs before each action with the tick (the caller
-     * advances its clock there); @p postEvent runs after each action
-     * returns (post-event hooks). Either may schedule or cancel.
-     *
-     * @return number of events fired (0 when the queue was empty).
-     */
-    template <typename PreInvoke, typename PostEvent>
-    std::size_t
-    dispatchTick(PreInvoke &&preInvoke, PostEvent &&postEvent)
-    {
-        HeapEntry first;
-        if (!takeEarliest(first))
-            return 0;
-        const Time tick = first.when;
-        EMMCSIM_DCHECK(tick >= lastPopTime_,
-                       "event popped out of order");
-        lastPopTime_ = tick;
-        batch_.clear();
-        batch_.push_back(first);
-        gatherTick(tick);
-        batchActive_ = true;
-        batchTick_ = tick;
-        batchPos_ = 0;
-        std::size_t fired = 0;
-        while (true) {
-            // Shed dead heap fronts so the interleave probe below
-            // sees a live entry (mid-batch cancels leave them).
-            while (!heap_.empty() && !entryLive(heap_.front())) {
-                heapPopFront();
-                EMMCSIM_DCHECK(deadEntries_ > 0,
-                               "dead heap entry not accounted for");
-                --deadEntries_;
-            }
-            const bool tailLeft = batchPos_ < batch_.size();
-            // Mid-batch schedules at the current tick (the streaming
-            // replayer's front-band arrivals) are forced into the
-            // overflow heap; interleave them by sequence so the pop
-            // order matches a pure (when, seq) queue byte for byte.
-            const bool fromHeap =
-                !heap_.empty() && heap_.front().when == tick &&
-                (!tailLeft ||
-                 heap_.front().seq < batch_[batchPos_].seq);
-            if (!fromHeap && !tailLeft)
-                break;
-            HeapEntry e;
-            if (fromHeap) {
-                e = heap_.front();
-                heapPopFront();
-            } else {
-                e = batch_[batchPos_++];
-                if (batchPos_ + kPrefetchAhead < batch_.size())
-                    __builtin_prefetch(&slotAt(
-                        batch_[batchPos_ + kPrefetchAhead].slot));
-                if (!entryLive(e)) { // cancelled after the gather
-                    EMMCSIM_DCHECK(deadEntries_ > 0,
-                                   "dead batch entry not accounted "
-                                   "for");
-                    --deadEntries_;
-                    continue;
-                }
-            }
-            fireEntry(e, preInvoke);
-            ++fired;
-            postEvent(tick);
-        }
-        batchActive_ = false;
-        batch_.clear();
-        batchPos_ = 0;
-        ++batches_;
-        batchedEvents_ += fired;
-        if (fired > maxBatch_)
-            maxBatch_ = fired;
-        return fired;
     }
 
     /** Total number of events ever scheduled (for stats/tests). */
@@ -375,7 +228,7 @@ class EventQueue
     /** Firing time of the most recently popped event; 0 before any. */
     Time lastPopTime() const { return lastPopTime_; }
 
-    /** @name Arena / scheduler statistics (memory + perf accounting).
+    /** @name Arena statistics (memory accounting).
      *  @{ */
 
     /** Slots ever created; the arena's memory footprint. */
@@ -397,60 +250,14 @@ class EventQueue
         return firing_ != EventId::kNoSlot ? 1u : 0u;
     }
 
-    /** Cancelled-but-unswept entries across the pending set. */
+    /** Heap entries, live and dead. */
+    std::size_t heapEntries() const { return heap_.size(); }
+
+    /** Cancelled-but-unswept heap entries. */
     std::size_t deadHeapEntries() const { return deadEntries_; }
 
-    /** Times the pending set was compacted (dead entries swept). */
+    /** Times the heap was compacted (dead entries swept). */
     std::uint64_t heapCompactions() const { return compactions_; }
-
-    /** Times the heap was sorted wholesale into a drain run. */
-    std::uint64_t drainSorts() const { return drainSorts_; }
-
-    /** Number of wheel buckets (0 until tuned). */
-    std::size_t wheelBucketCount() const { return nBuckets_; }
-
-    /** Bucket width in ns (0 until tuned). */
-    Time
-    wheelBucketWidth() const
-    {
-        return tuned_ ? Time{1} << bucketShift_ : 0;
-    }
-
-    /** Entries currently parked in wheel buckets (incl. dead). */
-    std::size_t wheelOccupancy() const { return wheelCount_; }
-
-    /** Entries currently in the overflow heap (incl. dead). */
-    std::size_t overflowSize() const { return heap_.size(); }
-
-    /** Entries staged in the sorted run, not yet consumed. */
-    std::size_t stagedRunEntries() const { return run_.size() - runPos_; }
-
-    /** Unfired entries of an in-flight dispatchTick() batch. */
-    std::size_t batchTailEntries() const
-    {
-        return batch_.size() - batchPos_;
-    }
-
-    /** Schedules that took the O(1) wheel path. */
-    std::uint64_t wheelScheduled() const { return wheelScheduled_; }
-
-    /** Schedules demoted to the overflow heap while tuned. */
-    std::uint64_t overflowScheduled() const { return overflowScheduled_; }
-
-    /** Overflow entries promoted into buckets at epoch advances. */
-    std::uint64_t wheelPromotions() const { return promotions_; }
-
-    /** Times the wheel window re-anchored (epoch advances). */
-    std::uint64_t wheelEpochs() const { return epochs_; }
-
-    /** dispatchTick() batches completed. */
-    std::uint64_t dispatchBatches() const { return batches_; }
-
-    /** Events fired through dispatchTick() batches. */
-    std::uint64_t batchedEvents() const { return batchedEvents_; }
-
-    /** Largest single same-tick batch dispatched. */
-    std::size_t maxBatchSize() const { return maxBatch_; }
 
     /** @} */
 
@@ -458,12 +265,10 @@ class EventQueue
      * Append a description of every internal-consistency violation to
      * @p violations under the generation-ledger model: slot/freelist
      * conservation, freelist hygiene (no duplicates, no parked
-     * actions), pending coverage of live slots across *all* tiers
-     * (wheel buckets, overflow heap, staged run, batch tail), the
-     * 4-ary heap ordering property, bucket filing, dead-entry
-     * accounting, and time monotonicity. Safe to call from inside a
-     * firing action (device audit hooks do): the in-flight slot is
-     * accounted separately.
+     * actions), exactly one live heap entry per live slot, dead-entry
+     * accounting, the 4-ary heap ordering property, and time
+     * monotonicity. Safe to call from inside a firing action (device
+     * audit hooks do): the in-flight slot is accounted separately.
      *
      * @return number of individual predicates evaluated.
      */
@@ -495,7 +300,7 @@ class EventQueue
                   "arena slot must stay one cache line; check "
                   "InlineAction's layout before growing it");
 
-    /** One pending entry (wheel bucket, heap, run, or batch). */
+    /** One pending heap entry. */
     struct HeapEntry
     {
         Time when;
@@ -504,38 +309,11 @@ class EventQueue
         std::uint32_t gen;
     };
 
-    /**
-     * First sequence number of the normal band. scheduleFront() draws
-     * from [0, kNormalSeqBase), schedule() from [kNormalSeqBase, 2^64);
-     * the split is what lets a front-band event win every same-tick
-     * tie regardless of scheduling order.
-     */
-    static constexpr std::uint64_t kNormalSeqBase = std::uint64_t{1}
-                                                    << 63;
-
     /** Heap arity. 4 wins over 2 on sift-down cache behaviour. */
     static constexpr std::size_t kArity = 4;
 
-    /** Don't bother compacting pending sets smaller than this. */
+    /** Don't bother compacting heaps smaller than this. */
     static constexpr std::size_t kCompactMin = 64;
-
-    /**
-     * Untuned queues: sort the heap into a drain run once it reaches
-     * this size with no active run. Small enough that the replayer's
-     * steady-state in-flight window benefits; large enough that a
-     * near-empty queue never pays a sort.
-     */
-    static constexpr std::size_t kDrainSortMin = 256;
-
-    /** How many pops ahead to prefetch slots in drain-run order. */
-    static constexpr std::size_t kPrefetchAhead = 8;
-
-    /** Wheel sizing bounds: bucket width floor 1.024 us; bucket count
-     *  clamped so a degenerate latency range cannot build a wheel
-     *  that dwarfs the pending set. */
-    static constexpr unsigned kMinBucketShift = 10;
-    static constexpr std::size_t kMinBuckets = 64;
-    static constexpr std::size_t kMaxBuckets = 4096;
 
     /** Slots per arena chunk (16 KiB chunks of 64-byte slots). */
     static constexpr std::size_t kChunkShift = 8;
@@ -566,50 +344,6 @@ class EventQueue
     entryLive(const HeapEntry &e) const
     {
         return e.slot < slotCount_ && slotAt(e.slot).gen == e.gen;
-    }
-
-    /** Bucket index of @p when; caller checked the window. */
-    std::size_t
-    bucketIndex(Time when) const
-    {
-        return static_cast<std::size_t>((when - wheelBase_) >>
-                                        bucketShift_);
-    }
-
-    /** Start time of bucket @p i. */
-    Time
-    bucketStart(std::size_t i) const
-    {
-        return wheelBase_ + (static_cast<Time>(i) << bucketShift_);
-    }
-
-    /**
-     * File a new pending entry in the right tier. In-window,
-     * unconsumed ticks take the O(1) wheel path; everything else —
-     * far-future times, ticks behind the scan cursor, and any
-     * schedule at the tick a batch is currently dispatching (the
-     * batch interleave probe only watches the heap front) — goes to
-     * the overflow heap.
-     */
-    void
-    pushEntry(const HeapEntry &e)
-    {
-        if (tuned_) {
-            const Time off = e.when - wheelBase_;
-            if (off >= 0) {
-                const std::size_t idx =
-                    static_cast<std::size_t>(off >> bucketShift_);
-                if (idx < nBuckets_ && idx >= nextScan_ &&
-                    !(batchActive_ && e.when == batchTick_)) {
-                    buckets_[idx].push_back(e);
-                    ++wheelCount_;
-                    ++wheelScheduled_;
-                    return;
-                }
-            }
-            ++overflowScheduled_;
-        }
-        heapPush(e);
     }
 
     void
@@ -667,20 +401,10 @@ class EventQueue
         heap_[i] = e;
     }
 
-    /** Drop dead (cancelled) entries off the run and heap fronts. */
+    /** Drop dead (cancelled) entries off the heap front. */
     void
-    dropDeadFronts() const
+    dropDeadFront() const
     {
-        while (runPos_ < run_.size() && !entryLive(run_[runPos_])) {
-            ++runPos_;
-            EMMCSIM_DCHECK(deadEntries_ > 0,
-                           "dead run entry not accounted for");
-            --deadEntries_;
-        }
-        if (runPos_ == run_.size() && !run_.empty()) {
-            run_.clear(); // fully consumed; keep capacity
-            runPos_ = 0;
-        }
         while (!heap_.empty() && !entryLive(heap_.front())) {
             heapPopFront();
             EMMCSIM_DCHECK(deadEntries_ > 0,
@@ -689,176 +413,23 @@ class EventQueue
         }
     }
 
-    /**
-     * Sort the entire heap into the (empty) drain run. One sequential
-     * bucket-distribution sort replaces n cache-scattered O(log n)
-     * sift-downs; the swap also hands the retired run's capacity to
-     * the heap. Untuned queues only — a tuned queue stages wheel
-     * buckets instead.
-     */
-    void
-    sortPendingIntoRun() const
-    {
-        run_.swap(heap_);
-        sortRunEntries();
-        runPos_ = 0;
-        ++drainSorts_;
-    }
-
-    /** Sort run_ ascending by (when, seq); see event.cc. */
-    void sortRunEntries() const;
-
-    /**
-     * Stage the next chunk of pending work into the sorted run: the
-     * untuned drain-sort, or — once tuned — the earliest non-empty
-     * wheel bucket (re-anchoring the window on the overflow front
-     * when the wheel has drained). See event.cc.
-     */
-    void refill() const;
-
-    /** Run actions in place out of the slot; shared fire path. */
-    template <typename PreInvoke>
-    void
-    fireEntry(const HeapEntry &e, PreInvoke &preInvoke)
-    {
-        Slot &sl = slotAt(e.slot);
-        ++sl.gen; // a firing event can no longer be cancelled
-        EMMCSIM_DCHECK(liveCount_ > 0,
-                       "dispatch with zero live events (ledger drift)");
-        --liveCount_;
-        firing_ = e.slot;
-        preInvoke(e.when);
-        sl.action();
-        sl.action = nullptr; // release captured state eagerly
-        firing_ = EventId::kNoSlot;
-        freelist_.push_back(e.slot);
-    }
-
-    /**
-     * Remove and return the earliest live pending entry, consulting
-     * the staged run and the overflow heap (whichever front is
-     * earlier under (when, seq) — the same total order a pure heap
-     * pops in). Unstaged wheel buckets are all later than both
-     * fronts, by construction (refill stages any bucket that could
-     * hold the minimum).
-     */
-    bool
-    takeEarliest(HeapEntry &out)
-    {
-        dropDeadFronts();
-        while (runPos_ >= run_.size()) {
-            refill();
-            if (runPos_ >= run_.size())
-                break; // nothing stageable; the heap front is next
-            dropDeadFronts(); // staged bucket may be entirely dead
-        }
-        const bool haveRun = runPos_ < run_.size();
-        if (!haveRun && heap_.empty())
-            return false;
-        if (haveRun &&
-            (heap_.empty() || earlier(run_[runPos_], heap_.front()))) {
-            out = run_[runPos_++];
-            if (runPos_ == run_.size()) {
-                run_.clear();
-                runPos_ = 0;
-            }
-        } else {
-            out = heap_.front();
-            heapPopFront();
-        }
-        return true;
-    }
-
-    /**
-     * Pull every remaining entry at @p tick off the run and heap
-     * fronts into batch_, merged in (when, seq) order. Unstaged
-     * buckets cannot hold entries at @p tick: the bucket covering
-     * @p tick was staged by refill before the first entry popped
-     * (see takeEarliest), and later buckets start strictly after it.
-     */
-    void
-    gatherTick(Time tick)
-    {
-        while (true) {
-            dropDeadFronts();
-            const bool haveRun =
-                runPos_ < run_.size() && run_[runPos_].when == tick;
-            const bool haveHeap =
-                !heap_.empty() && heap_.front().when == tick;
-            if (haveRun &&
-                (!haveHeap ||
-                 run_[runPos_].seq < heap_.front().seq)) {
-                batch_.push_back(run_[runPos_++]);
-                if (runPos_ == run_.size()) {
-                    run_.clear();
-                    runPos_ = 0;
-                }
-            } else if (haveHeap) {
-                batch_.push_back(heap_.front());
-                heapPopFront();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /** Live + dead entries still pending across every tier. */
-    std::size_t
-    pendingEntries() const
-    {
-        return heap_.size() + (run_.size() - runPos_) + wheelCount_ +
-               (batch_.size() - batchPos_);
-    }
-
     /** Sweep all dead entries and re-heapify (Floyd build). */
     void compact();
-
-    /** Move staged run + bucket entries back into the heap. */
-    void flushWheelToHeap();
 
     /** Retire a slot: destroy its action, bump gen, recycle. */
     void retireSlot(std::uint32_t slot);
 
-    mutable std::vector<HeapEntry> heap_; ///< overflow tier
-    mutable std::vector<HeapEntry> run_;  ///< sorted drain run
-    mutable std::size_t runPos_ = 0;      ///< next unconsumed run entry
+    mutable std::vector<HeapEntry> heap_;
     mutable std::size_t deadEntries_ = 0;
-    mutable std::uint64_t drainSorts_ = 0;
-    /// Reused scratch for sortRunEntries (alloc-free steady state).
-    mutable std::vector<HeapEntry> sortScratch_;
-    mutable std::vector<std::uint32_t> sortCounts_;
-
-    /// Calendar-wheel tier (empty vectors until tuneWheel()).
-    mutable std::vector<std::vector<HeapEntry>> buckets_;
-    mutable Time wheelBase_ = 0;     ///< window start (width-aligned)
-    mutable std::size_t nextScan_ = 0; ///< first unconsumed bucket
-    mutable std::size_t wheelCount_ = 0; ///< entries across buckets
-    unsigned bucketShift_ = 0;       ///< log2(bucket width in ns)
-    std::size_t nBuckets_ = 0;
-    bool tuned_ = false;
-
-    /// Batched-dispatch scratch (dispatchTick()).
-    std::vector<HeapEntry> batch_;
-    std::size_t batchPos_ = 0;
-    Time batchTick_ = 0;
-    bool batchActive_ = false;
 
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::size_t slotCount_ = 0;
     std::vector<std::uint32_t> freelist_;
-    std::uint64_t nextSeq_ = kNormalSeqBase;
-    std::uint64_t nextFrontSeq_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t scheduledCount_ = 0;
     std::size_t liveCount_ = 0;
     std::size_t highWater_ = 0;
     std::uint64_t compactions_ = 0;
-    std::uint64_t wheelScheduled_ = 0;
-    std::uint64_t overflowScheduled_ = 0;
-    mutable std::uint64_t promotions_ = 0;
-    mutable std::uint64_t epochs_ = 0;
-    std::uint64_t batches_ = 0;
-    std::uint64_t batchedEvents_ = 0;
-    std::size_t maxBatch_ = 0;
     Time lastPopTime_ = 0;
     /** Slot whose action is executing in a dispatch, if any. */
     std::uint32_t firing_ = EventId::kNoSlot;

@@ -1,34 +1,61 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace emmcsim::sim {
 
+Time
+Simulator::nextEventTime() const
+{
+    const Time event = events_.nextTime();
+    const Time arrival =
+        arrivals_ != nullptr ? arrivals_->nextArrival() : kTimeNever;
+    if (arrival == kTimeNever)
+        return event;
+    return event == kTimeNever ? arrival : std::min(arrival, event);
+}
+
+bool
+Simulator::step(Time deadline)
+{
+    const Time event = events_.nextTime();
+    const Time arrival =
+        arrivals_ != nullptr ? arrivals_->nextArrival() : kTimeNever;
+    if (arrival != kTimeNever &&
+        (event == kTimeNever || arrival <= event)) {
+        if (arrival > deadline)
+            return false;
+        EMMCSIM_ASSERT(arrival >= now_, "arrival cursor went backwards");
+        now_ = arrival;
+        ++arrivalsFired_;
+        arrivals_->fireNext();
+    } else {
+        if (event == kTimeNever || event > deadline)
+            return false;
+        // The event runs in place out of its arena slot; the clock
+        // advances in the pre-invoke callback, before the action
+        // observes now().
+        events_.dispatchNext([this](Time t) {
+            EMMCSIM_ASSERT(t >= now_, "event queue went backwards");
+            now_ = t;
+        });
+    }
+    ++executed_;
+    if (!hooks_.empty())
+        firePostEventHooks();
+    return true;
+}
+
 std::uint64_t
 Simulator::run()
 {
-    // Events run in place out of their arena slots; dispatchTick
-    // drains the whole current tick per call (batched same-tick
-    // dispatch), advancing the clock in the pre-invoke callback
-    // before each action observes now(). Post-event hooks still fire
-    // once per event, between batch entries, exactly as the
-    // one-at-a-time loop did.
     std::uint64_t n = 0;
-    while (events_.dispatchTick(
-               [this](Time t) {
-                   EMMCSIM_ASSERT(t >= now_,
-                                  "event queue went backwards");
-                   now_ = t;
-               },
-               [this, &n](Time) {
-                   ++n;
-                   ++executed_;
-                   if (!hooks_.empty())
-                       firePostEventHooks();
-               }) != 0) {
-    }
+    while (step(std::numeric_limits<Time>::max()))
+        ++n;
     return n;
 }
 
@@ -36,24 +63,8 @@ std::uint64_t
 Simulator::runUntil(Time deadline)
 {
     std::uint64_t n = 0;
-    while (true) {
-        Time next = events_.nextTime();
-        if (next == kTimeNever || next > deadline)
-            break;
-        // A batch never crosses the deadline: every event it fires
-        // sits at exactly `next`, which was just checked.
-        events_.dispatchTick(
-            [this](Time t) {
-                EMMCSIM_ASSERT(t >= now_, "event queue went backwards");
-                now_ = t;
-            },
-            [this, &n](Time) {
-                ++n;
-                ++executed_;
-                if (!hooks_.empty())
-                    firePostEventHooks();
-            });
-    }
+    while (step(deadline))
+        ++n;
     if (now_ < deadline)
         now_ = deadline;
     return n;
@@ -82,17 +93,6 @@ Simulator::removePostEventHook(HookId id)
             return;
         }
     }
-}
-
-void
-Simulator::setPostEventHook(PostEventHook hook, std::uint64_t interval)
-{
-    if (legacyHookId_ != 0) {
-        removePostEventHook(legacyHookId_);
-        legacyHookId_ = 0;
-    }
-    if (hook != nullptr)
-        legacyHookId_ = addPostEventHook(std::move(hook), interval);
 }
 
 void

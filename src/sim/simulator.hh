@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/arrivals.hh"
 #include "sim/event.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -22,7 +23,8 @@ namespace emmcsim::sim {
  *
  * Components schedule callbacks on the simulator and read the current
  * time with now(). Time only advances inside run()/runUntil() as events
- * are popped in timestamp order.
+ * are popped in timestamp order, merged with the attached arrival
+ * cursor (if any).
  */
 class Simulator
 {
@@ -46,19 +48,6 @@ class Simulator
         return events_.schedule(when, std::forward<F>(action));
     }
 
-    /**
-     * Schedule in the front sequence band (see
-     * EventQueue::scheduleFront): wins every same-tick tie against
-     * normally scheduled events. Replay arrivals only.
-     */
-    template <typename F>
-    EventId
-    scheduleFront(Time when, F &&action)
-    {
-        EMMCSIM_ASSERT(when >= now_, "event scheduled in the past");
-        return events_.scheduleFront(when, std::forward<F>(action));
-    }
-
     /** Schedule an action @p delay after now(). */
     template <typename F>
     EventId
@@ -72,24 +61,22 @@ class Simulator
     bool cancel(EventId id) { return events_.cancel(id); }
 
     /**
-     * Size the event queue's calendar-wheel tier from the device's
-     * fixed operation latencies (see EventQueue::tuneWheel). The
-     * device constructor calls this with its NAND timing so that the
-     * completion-heavy steady state schedules in O(1); an untuned
-     * simulator runs on the pure heap with identical output.
+     * Merge @p arrivals into run()/runUntil() until detached with
+     * null; the cursor must outlive its attachment. At a tied tick an
+     * arrival fires before every queued event. Arrivals count in
+     * executedCount() and trigger post-event hooks like events do.
      */
-    void
-    tuneEventHorizon(Time shortestLatency, Time longestLatency)
-    {
-        events_.tuneWheel(shortestLatency, longestLatency);
-    }
+    void setArrivals(ArrivalCursor *arrivals) { arrivals_ = arrivals; }
+
+    /** Arrivals fired from attached cursors so far. */
+    std::uint64_t arrivalsFired() const { return arrivalsFired_; }
 
     /**
      * Set the clock to @p when without running events — the snapshot
      * restore path uses this to resume a fresh simulator at the image's
-     * capture time before re-scheduling the remaining arrivals. Only
-     * legal on an empty queue: jumping the clock with events pending
-     * would reorder them against their timestamps.
+     * capture time before replaying the remaining arrivals. Only
+     * legal with nothing pending: jumping the clock with events
+     * pending would reorder them against their timestamps.
      */
     void
     restoreClock(Time when)
@@ -112,13 +99,13 @@ class Simulator
      */
     std::uint64_t runUntil(Time deadline);
 
-    /** @return true if events remain. */
-    bool pending() const { return !events_.empty(); }
+    /** @return true if events or attached arrivals remain. */
+    bool pending() const { return nextEventTime() != kTimeNever; }
 
-    /** Time of the next pending event; kTimeNever if none. */
-    Time nextEventTime() const { return events_.nextTime(); }
+    /** Time of the next pending event or arrival; kTimeNever if none. */
+    Time nextEventTime() const;
 
-    /** Events executed so far. */
+    /** Events executed so far, arrivals included. */
     std::uint64_t executedCount() const { return executed_; }
 
     /** Read-only view of the event queue (audit support). */
@@ -146,13 +133,6 @@ class Simulator
     /** Unregister a hook; unknown ids are ignored (idempotent). */
     void removePostEventHook(HookId id);
 
-    /**
-     * Single-slot convenience used by older callers: replaces the
-     * previously set() hook (hooks registered through
-     * addPostEventHook are unaffected); null uninstalls.
-     */
-    void setPostEventHook(PostEventHook hook, std::uint64_t interval = 1);
-
   private:
     /** One registered post-event hook and its firing cadence. */
     struct HookEntry
@@ -166,13 +146,21 @@ class Simulator
     /** Run each post-event hook whose interval elapsed. */
     void firePostEventHooks();
 
+    /**
+     * Fire the earlier of the next arrival and the queue front if it
+     * is not after @p deadline (arrivals win ties).
+     * @return false when nothing fired.
+     */
+    bool step(Time deadline);
+
     EventQueue events_;
+    ArrivalCursor *arrivals_ = nullptr;
     Time now_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t arrivalsFired_ = 0;
 
     std::vector<HookEntry> hooks_;
     HookId nextHookId_ = 1;
-    HookId legacyHookId_ = 0; ///< slot managed by setPostEventHook
 };
 
 } // namespace emmcsim::sim

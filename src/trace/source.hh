@@ -10,7 +10,7 @@
  * implementations cover the repertoire:
  *
  *  - MemoryTraceSource — non-owning cursor over an in-memory Trace
- *    (the legacy path, and the byte-identity reference).
+ *    (what replay() and resume() feed the replay loop).
  *  - TextTraceSource   — incremental parser over the emmctrace text
  *    format (this file).
  *  - BinTraceSource    — block decoder over emmctrace-bin v1
@@ -60,11 +60,18 @@ class TraceSource
     bool failed() const { return !error().ok(); }
 };
 
-/** Cursor over an in-memory Trace (non-owning; trace must outlive). */
+/**
+ * Cursor over an in-memory Trace (non-owning; trace must outlive),
+ * starting at record @p first (a resumed replay skips what the
+ * snapshot already covered); reset() rewinds to @p first.
+ */
 class MemoryTraceSource : public TraceSource
 {
   public:
-    explicit MemoryTraceSource(const Trace &t) : trace_(&t) {}
+    explicit MemoryTraceSource(const Trace &t, std::size_t first = 0)
+        : trace_(&t), first_(first), pos_(first)
+    {
+    }
 
     const std::string &name() const override { return trace_->name(); }
 
@@ -77,13 +84,14 @@ class MemoryTraceSource : public TraceSource
         return n;
     }
 
-    void reset() override { pos_ = 0; }
+    void reset() override { pos_ = first_; }
 
     const TraceLoadError &error() const override { return err_; }
 
   private:
     const Trace *trace_;
-    std::size_t pos_ = 0;
+    std::size_t first_;
+    std::size_t pos_;
     TraceLoadError err_; ///< always ok; memory cannot fail
 };
 

@@ -65,11 +65,6 @@ TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
     ExperimentOptions opts;
     opts.capacityScale = 1.0 / 64.0;
     opts.obs.metrics = true;
-    // Scheduler self-metrics (sim.events.*) count this process's
-    // event-core activity, not device state; a resumed run
-    // re-schedules its pending events and reports different figures.
-    // They are outside the resume-determinism contract.
-    opts.obs.eventCore = false;
 
     CaseResult full = runCase(t, SchemeKind::HPS, opts);
 

@@ -1,13 +1,18 @@
 /**
  * @file
  * Replayer tests: timestamp stamping, open-loop arrivals, address
- * wrapping, and agreement with device statistics.
+ * wrapping, agreement with device statistics, and the tie rule
+ * between arrivals and device events on both replay paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "emmc/device.hh"
 #include "host/replayer.hh"
+#include "trace/source.hh"
 #include "workload/fixed.hh"
 
 using namespace emmcsim;
@@ -30,11 +35,53 @@ tinyConfig()
 }
 
 std::unique_ptr<emmc::EmmcDevice>
-tinyDevice(sim::Simulator &s)
+tinyDevice(sim::Simulator &s, const emmc::EmmcConfig &cfg = tinyConfig())
 {
     return std::make_unique<emmc::EmmcDevice>(
-        s, tinyConfig(),
-        std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+        s, cfg, std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+}
+
+trace::TraceRecord
+oneUnit(sim::Time arrival, std::int64_t unit, bool write)
+{
+    trace::TraceRecord r;
+    r.arrival = arrival;
+    r.lbaSector = units::unitToLba(units::UnitAddr{unit});
+    r.sizeBytes = units::Bytes{sim::kUnitBytes};
+    r.op = write ? trace::OpType::Write : trace::OpType::Read;
+    return r;
+}
+
+/** How the device served each request, as its trace hook saw it. */
+struct Served
+{
+    std::vector<emmc::CompletedRequest> byId;
+    std::uint64_t noWaitRequests = 0;
+    sim::Time lastFinish = 0;
+};
+
+/** Replay @p t on a fresh device through replay() or replayStream(). */
+Served
+serve(const trace::Trace &t, bool stream,
+      const emmc::EmmcConfig &cfg = tinyConfig())
+{
+    sim::Simulator s;
+    auto dev = tinyDevice(s, cfg);
+    Served out;
+    out.byId.resize(t.size());
+    dev->setTraceHook([&out](const emmc::CompletedRequest &c) {
+        out.byId[c.request.id] = c;
+        out.lastFinish = std::max(out.lastFinish, c.finish);
+    });
+    host::Replayer rep(s, *dev);
+    if (stream) {
+        trace::MemoryTraceSource src(t);
+        rep.replayStream(src);
+    } else {
+        rep.replay(t);
+    }
+    out.noWaitRequests = dev->stats().noWaitRequests;
+    return out;
 }
 
 } // namespace
@@ -160,4 +207,59 @@ TEST(Replayer, EmptyTraceCompletes)
     host::Replayer rep(s, *dev);
     trace::Trace out = rep.replay(trace::Trace("empty"));
     EXPECT_EQ(out.size(), 0u);
+}
+
+TEST(ReplayerTies, ArrivalOnACompletionTickWinsOnBothPaths)
+{
+    // The second request arrives on the exact tick the first one's
+    // completion fires. Arrivals win ties, so it finds the device
+    // still busy: it waits (no NoWait credit) and starts on that tick.
+    trace::Trace first("first");
+    first.push(oneUnit(0, 0, true));
+    const sim::Time done = serve(first, false).lastFinish;
+    ASSERT_GT(done, 0);
+
+    trace::Trace t("tie");
+    t.push(oneUnit(0, 0, true));
+    t.push(oneUnit(done, 8, false));
+    for (bool stream : {false, true}) {
+        SCOPED_TRACE(stream ? "replayStream" : "replay");
+        const Served got = serve(t, stream);
+        EXPECT_EQ(got.noWaitRequests, 1u);
+        EXPECT_TRUE(got.byId[1].waited);
+        EXPECT_EQ(got.byId[1].serviceStart, done);
+    }
+}
+
+TEST(ReplayerTies, ArrivalOnAnIdleGcTickWinsOnBothPaths)
+{
+    // A burst of overwrites leaves the tiny device short of free
+    // blocks with reclaimable victims, so its first idle-GC tick
+    // (idleGcDelay after the burst drains) has work to do.
+    emmc::EmmcConfig cfg = tinyConfig();
+    cfg.idleGcEnabled = true;
+    trace::Trace burst("burst");
+    for (int i = 0; i < 400; ++i)
+        burst.push(oneUnit(0, i % 50, true));
+    const sim::Time tick = serve(burst, false, cfg).lastFinish +
+                           cfg.idleGcDelay;
+
+    for (bool stream : {false, true}) {
+        SCOPED_TRACE(stream ? "replayStream" : "replay");
+        // Control: one tick later, the read queues behind a GC step.
+        trace::Trace late = burst;
+        late.push(oneUnit(tick + 1, 100, false));
+        const Served after = serve(late, stream, cfg);
+        EXPECT_GT(after.byId[400].serviceStart, tick + 1)
+            << "idle GC did not run at its tick; the tie below would "
+               "prove nothing";
+
+        // On the tick itself the arrival goes first and the GC tick
+        // finds the device busy.
+        trace::Trace tied = burst;
+        tied.push(oneUnit(tick, 100, false));
+        const Served on = serve(tied, stream, cfg);
+        EXPECT_FALSE(on.byId[400].waited);
+        EXPECT_EQ(on.byId[400].serviceStart, tick);
+    }
 }

@@ -2,7 +2,8 @@
  * @file
  * Streaming replay tests: replayStream() must drive the device
  * exactly like replay() on the same records — same counters, same
- * metrics, and (at the library level) a byte-identical run report.
+ * metrics, (at the library level) a byte-identical run report, and
+ * the same recovery from seeded power cuts.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <cmath>
 #include <sstream>
 
+#include "check/durability.hh"
 #include "core/experiment.hh"
 #include "emmc/device.hh"
+#include "fault/spo.hh"
 #include "host/replayer.hh"
 #include "obs/report.hh"
 #include "trace/source.hh"
@@ -180,4 +183,80 @@ TEST(StreamReplay, RunReportByteIdenticalToInMemoryPath)
     };
     EXPECT_EQ(render(a), render(b))
         << "streaming replay diverged from the in-memory path";
+}
+
+TEST(StreamReplay, SeededPowerCutsMatchInMemoryPath)
+{
+    const trace::Trace t = mixedTrace(600);
+    const std::vector<sim::Time> cuts =
+        fault::drawSpoTicks(6, 11, t[t.size() - 1].arrival);
+
+    // Library level: both paths see the same cuts at the same points
+    // of the same event order, and neither loses an acknowledged
+    // write on this write-through device.
+    host::ReplayStats stats[2];
+    emmc::DeviceStats dev_stats[2];
+    for (int stream = 0; stream < 2; ++stream) {
+        SCOPED_TRACE(stream ? "replayStream" : "replay");
+        sim::Simulator s;
+        auto dev = tinyDevice(s);
+        check::WriteDurabilityLedger ledger(dev->ftl().logicalUnits(),
+                                            /*write_through=*/true);
+        dev->setTraceHook([&ledger](const emmc::CompletedRequest &c) {
+            if (c.ok() && c.request.write)
+                ledger.noteAcked(
+                    flash::Lpn{c.request.firstUnit().value()},
+                    c.request.sizeUnits());
+        });
+        host::Replayer rep(s, *dev);
+        host::ReplayOptions opts;
+        opts.spo.ticks = cuts;
+        opts.spo.powerOnDelay = sim::milliseconds(1);
+        if (stream) {
+            trace::MemoryTraceSource src(t);
+            EXPECT_EQ(rep.replayStream(src, opts).requests, t.size());
+        } else {
+            rep.replay(t, opts);
+        }
+        stats[stream] = rep.stats();
+        dev_stats[stream] = dev->stats();
+        check::CheckContext ctx("write-durability");
+        ledger.verify(dev->ftl(), ctx);
+        EXPECT_EQ(ctx.failures(), 0u);
+    }
+    EXPECT_GT(stats[0].spoEvents, 0u);
+    EXPECT_EQ(stats[1].spoEvents, stats[0].spoEvents);
+    EXPECT_EQ(stats[1].spoSkipped, stats[0].spoSkipped);
+    EXPECT_EQ(stats[1].reissuedRequests, stats[0].reissuedRequests);
+    EXPECT_EQ(stats[1].deferredSubmissions, stats[0].deferredSubmissions);
+    EXPECT_EQ(stats[1].recoveryTime, stats[0].recoveryTime);
+    EXPECT_EQ(dev_stats[1].requests, dev_stats[0].requests);
+    EXPECT_EQ(dev_stats[1].noWaitRequests, dev_stats[0].noWaitRequests);
+    EXPECT_DOUBLE_EQ(dev_stats[1].responseMs.mean(),
+                     dev_stats[0].responseMs.mean());
+
+    // Experiment level: the CaseResult columns agree too.
+    core::ExperimentOptions opts;
+    opts.capacityScale = 0.02;
+    opts.prefill = 0.3;
+    opts.spo.ticks = cuts;
+    opts.spo.powerOnDelay = sim::milliseconds(1);
+    const core::CaseResult a = core::runCase(t, core::SchemeKind::HPS,
+                                             opts);
+    trace::MemoryTraceSource src(t);
+    const core::CaseResult b =
+        core::runCaseStream(src, core::SchemeKind::HPS, opts);
+    EXPECT_GT(a.spoEvents, 0u);
+    EXPECT_EQ(b.requests, a.requests);
+    EXPECT_DOUBLE_EQ(b.meanResponseMs, a.meanResponseMs);
+    EXPECT_DOUBLE_EQ(b.meanServiceMs, a.meanServiceMs);
+    EXPECT_DOUBLE_EQ(b.noWaitPct, a.noWaitPct);
+    EXPECT_DOUBLE_EQ(b.writeAmplification, a.writeAmplification);
+    EXPECT_EQ(b.pagePrograms, a.pagePrograms);
+    EXPECT_EQ(b.totalErases, a.totalErases);
+    EXPECT_EQ(b.spoEvents, a.spoEvents);
+    EXPECT_EQ(b.spoTornPages, a.spoTornPages);
+    EXPECT_EQ(b.reissuedRequests, a.reissuedRequests);
+    EXPECT_DOUBLE_EQ(b.recoveryTimeMs, a.recoveryTimeMs);
+    EXPECT_EQ(b.journalPagesFlushed, a.journalPagesFlushed);
 }

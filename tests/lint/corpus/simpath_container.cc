@@ -30,13 +30,13 @@ void
 queueFine()
 {
     // Flat storage is the idiom the rule protects: a vector heap, a
-    // vector-of-vectors wheel, a reusable scratch batch.
+    // vector-of-vectors chunked arena, a slot freelist.
     std::vector<Pending> heap;
-    std::vector<std::vector<Pending>> wheel;
-    std::vector<Pending> batch;
+    std::vector<std::vector<Pending>> arena;
+    std::vector<int> freelist;
     heap.reserve(64);
-    wheel.resize(8);
-    batch.clear();
+    arena.resize(8);
+    freelist.clear();
 }
 
 // An explicitly justified exception stays possible:

@@ -3,8 +3,9 @@
  * Proof that the steady-state event path performs zero heap
  * allocations: global operator new is replaced with a counting
  * implementation, and a warmed-up schedule/pop cycle must not bump
- * the counter. Kept in its own test binary because the replacement
- * operators apply to every translation unit they are linked into.
+ * the counter, with and without an arrival cursor merged in. Kept in
+ * its own test binary because the replacement operators apply to
+ * every translation unit they are linked into.
  */
 
 #include <gtest/gtest.h>
@@ -104,6 +105,27 @@ TEST(EventCoreAllocation, SteadyStateScheduleRunIsHeapFree)
     EXPECT_EQ(sink, static_cast<std::uint64_t>(3 * kBatch));
 }
 
+TEST(EventCoreAllocation, FirstChunkIsHeapFreeFromConstruction)
+{
+    // The constructor reserves one arena chunk with heap and freelist
+    // room for it, so up to 256 live events never allocate.
+    EventQueue q;
+    std::uint64_t sink = 0;
+    const std::uint64_t before =
+        g_heapAllocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 256; ++i)
+        q.schedule(i, [&sink] { ++sink; });
+    Time t;
+    EventAction a;
+    while (q.pop(t, a))
+        a();
+    const std::uint64_t after =
+        g_heapAllocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "the first arena chunk allocated on the heap";
+    EXPECT_EQ(sink, 256u);
+}
+
 TEST(EventCoreAllocation, SteadyStateCancelIsHeapFree)
 {
     constexpr int kBatch = 512;
@@ -135,79 +157,55 @@ TEST(EventCoreAllocation, SteadyStateCancelIsHeapFree)
         << "steady-state cancel/compact path allocated on the heap";
 }
 
-TEST(EventCoreAllocation, TunedWheelBatchDispatchIsHeapFree)
+/** Arrival cursor replaying a preallocated arrival list each round. */
+class RoundArrivals final : public ArrivalCursor
 {
-    // Clustered-latency shape: events land in ties of 8 on four fixed
-    // NAND latencies, exercising bucket filing, run staging, batched
-    // dispatch, epoch re-anchoring and heap promotion.
-    //
-    // Bucket vectors grow lazily and their capacities rotate through
-    // the staging swap, so steady state begins once every reachable
-    // bucket has been loaded at least as heavily as the measured
-    // round will load it. The warm-up therefore floods the whole
-    // wheel span with same-tick groups before the counted round.
-    constexpr int kBatch = 1024;
-    constexpr Time kLat[4] = {160'000, 244'000, 1'385'000, 3'800'000};
-    EventQueue q;
-    q.tuneWheel(kLat[0], kLat[3]);
-    ASSERT_TRUE(q.wheelTuned());
-    std::uint64_t sink = 0;
+  public:
+    explicit RoundArrivals(std::uint64_t &sink) : sink_(sink) {}
 
-    auto drain = [&] {
-        while (q.dispatchTick([](Time) {}, [](Time) {}) > 0) {
-        }
-    };
-
-    // Flood: ~400 events in every bucket of the wheel span, in ties
-    // of 16, so every bucket / run / batch vector reaches a capacity
-    // no clustered round will exceed.
-    const Time width = q.wheelBucketWidth();
-    const std::size_t nBuckets = q.wheelBucketCount();
-    for (int pass = 0; pass < 2; ++pass) {
-        const Time base = q.lastPopTime();
-        for (std::size_t b = 0; b < nBuckets; ++b) {
-            for (int g = 0; g < 25; ++g) {
-                const Time when = base + static_cast<Time>(b) * width +
-                                  g * (width / 25);
-                for (int i = 0; i < 16; ++i)
-                    q.schedule(when, [&sink] { ++sink; });
-            }
-        }
-        drain();
+    void
+    rewind(Time base, int n)
+    {
+        base_ = base;
+        n_ = n;
+        i_ = 0;
     }
 
-    auto round = [&] {
-        const Time base = q.lastPopTime();
-        for (int i = 0; i < kBatch; ++i)
-            q.schedule(base + kLat[(i / 8) & 3] +
-                           static_cast<Time>(i / 8) * 257,
-                       [&sink] { ++sink; });
-        drain();
-    };
+    Time
+    nextArrival() const override
+    {
+        return i_ < n_ ? base_ + i_ / 2 * 2 : kTimeNever;
+    }
 
-    round();
-    round();
-    const std::uint64_t before =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    round();
-    const std::uint64_t after =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "tuned-wheel batched dispatch allocated on the heap";
-    EXPECT_GT(q.dispatchBatches(), 0u);
-    EXPECT_GT(q.wheelScheduled(), 0u);
-}
+    void
+    fireNext() override
+    {
+        ++i_;
+        ++sink_;
+    }
+
+  private:
+    std::uint64_t &sink_;
+    Time base_ = 0;
+    int n_ = 0;
+    int i_ = 0;
+};
 
 TEST(EventCoreAllocation, SimulatorLoopIsHeapFreeAfterWarmup)
 {
+    // Events and cursor arrivals interleave, with same-tick ties
+    // between them: the merged loop must not allocate either.
     constexpr int kBatch = 256;
     Simulator s;
     std::uint64_t sink = 0;
     Time base = 0;
+    RoundArrivals arrivals(sink);
+    s.setArrivals(&arrivals);
 
     auto round = [&] {
         for (int i = 0; i < kBatch; ++i)
             s.schedule(base + i, [&sink] { ++sink; });
+        arrivals.rewind(base, kBatch);
         s.run();
         base += kBatch;
     };
@@ -221,6 +219,9 @@ TEST(EventCoreAllocation, SimulatorLoopIsHeapFreeAfterWarmup)
         g_heapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "simulator event loop allocated on the heap";
+    EXPECT_EQ(sink, static_cast<std::uint64_t>(6 * kBatch));
+    EXPECT_EQ(s.arrivalsFired(), static_cast<std::uint64_t>(3 * kBatch));
+    s.setArrivals(nullptr);
 }
 
 } // namespace

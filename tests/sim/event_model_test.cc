@@ -1,29 +1,30 @@
 /**
  * @file
- * Randomized differential test of the two-tier event queue.
+ * Randomized differential test of the event core.
  *
  * A std::multimap keyed on (when, band) — which preserves insertion
  * order for equal keys, i.e. exactly the FIFO-within-band contract —
- * serves as the executable specification. Every random operation
- * (schedule, front-band schedule, cancel, stale cancel, pop burst)
- * is applied simultaneously to the model, to an untuned EventQueue
- * (pure heap + drain-sort), and to a tuned EventQueue (calendar wheel
- * over overflow heap). All three must pop the identical sequence.
+ * serves as the executable specification. Band 0 holds arrivals from
+ * the simulator's arrival cursor, band 1 queued events, so the model
+ * encodes the tie rule directly: at a tied tick every arrival fires
+ * before every queued event, and each band fires in the order it was
+ * fed.
  *
- * The offset distribution deliberately straddles the wheel horizon so
- * in-bucket filing, overflow scheduling, epoch re-anchoring and heap
- * promotion all run; a Simulator-level variant reschedules from
- * inside handlers (including zero-delay, i.e. mid-batch same-tick
- * schedules) to drive the batched dispatch path the same way device
- * completions do.
+ * Every random operation (schedule, arrival, cancel, stale cancel,
+ * advance the clock) is applied to the model and to a Simulator with
+ * an attached cursor. Each firing checks it is the model's front, and
+ * some firings schedule a follow-up — often at the very same tick,
+ * where the pending arrivals of that tick must still go first.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -34,171 +35,160 @@ namespace {
 
 using namespace emmcsim::sim;
 
-/** Tuned-wheel parameters used throughout: the repo's fixed 4KB-read
- *  and erase latencies, so the wheel shape matches a real device. */
+/** Spread of schedule offsets: the device's 4KB-read and erase times. */
 constexpr Time kShortest = 160'000;
 constexpr Time kLongest = 3'800'000;
 
-using ModelKey = std::pair<Time, int>; ///< (when, band): front=0
+using ModelKey = std::pair<Time, int>; ///< (when, band): arrival=0
 using ModelMap = std::multimap<ModelKey, int>;
-
-struct LiveEvent
-{
-    EventId heapId;  ///< id in the untuned queue
-    EventId wheelId; ///< id in the tuned queue
-    ModelMap::iterator modelIt;
-};
 
 class QueueModelFuzz : public ::testing::TestWithParam<std::uint32_t>
 {
 };
 
+/** Arrival cursor the fuzz appends to while the simulator runs. */
+class FuzzArrivals final : public ArrivalCursor
+{
+  public:
+    explicit FuzzArrivals(std::function<void(int)> onFire)
+        : onFire_(std::move(onFire))
+    {
+    }
+
+    void push(Time when, int token) { list_.emplace_back(when, token); }
+
+    /** Latest time fed so far (arrivals must not go backwards). */
+    Time back() const { return list_.empty() ? 0 : list_.back().first; }
+
+    Time
+    nextArrival() const override
+    {
+        return pos_ < list_.size() ? list_[pos_].first : kTimeNever;
+    }
+
+    void fireNext() override { onFire_(list_[pos_++].second); }
+
+  private:
+    std::vector<std::pair<Time, int>> list_;
+    std::size_t pos_ = 0;
+    std::function<void(int)> onFire_;
+};
+
 TEST_P(QueueModelFuzz, PopOrderMatchesMultimapReference)
 {
     std::mt19937 rng(GetParam());
-    EventQueue heapQ;
-    EventQueue wheelQ;
-    wheelQ.tuneWheel(kShortest, kLongest);
-    ASSERT_TRUE(wheelQ.wheelTuned());
-    ASSERT_FALSE(heapQ.wheelTuned());
-
+    Simulator s;
     ModelMap model;
-    std::map<int, LiveEvent> live;
-    std::vector<std::pair<EventId, EventId>> deadIds;
-    std::vector<int> heapFired;
-    std::vector<int> wheelFired;
+    /// Live queued events: token -> (handle, model position).
+    std::map<int, std::pair<EventId, ModelMap::iterator>> live;
+    std::vector<EventId> deadIds;
     int nextToken = 0;
-    Time now = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
 
-    // Offsets from "now": same-tick, in-wheel, and far past the
-    // wheel horizon (4 * kLongest) so the overflow tier and epoch
-    // re-anchor logic both see traffic.
     std::uniform_int_distribution<Time> nearOff(0, kShortest);
-    std::uniform_int_distribution<Time> wheelOff(0, 4 * kLongest);
+    std::uniform_int_distribution<Time> midOff(0, 4 * kLongest);
     std::uniform_int_distribution<Time> farOff(4 * kLongest,
                                                20 * kLongest);
-
     auto draw = [&](int pct) {
         return std::uniform_int_distribution<int>(0, 99)(rng) < pct;
     };
-
-    auto scheduleOne = [&](bool front) {
-        Time off;
+    auto offset = [&] {
         if (draw(20))
-            off = nearOff(rng);
-        else if (draw(80))
-            off = wheelOff(rng);
-        else
-            off = farOff(rng);
-        const Time when = now + off;
+            return draw(30) ? Time{0} : nearOff(rng);
+        return draw(80) ? midOff(rng) : farOff(rng);
+    };
+
+    std::function<void(int)> onFire;
+    FuzzArrivals arrivals([&onFire](int token) { onFire(token); });
+
+    auto scheduleEvent = [&](Time when) {
         const int token = nextToken++;
-        LiveEvent ev;
-        if (front) {
-            ev.heapId = heapQ.scheduleFront(
-                when, [&heapFired, token] { heapFired.push_back(token); });
-            ev.wheelId = wheelQ.scheduleFront(when, [&wheelFired, token] {
-                wheelFired.push_back(token);
-            });
-        } else {
-            ev.heapId = heapQ.schedule(
-                when, [&heapFired, token] { heapFired.push_back(token); });
-            ev.wheelId = wheelQ.schedule(when, [&wheelFired, token] {
-                wheelFired.push_back(token);
-            });
-        }
-        ev.modelIt = model.emplace(ModelKey{when, front ? 0 : 1}, token);
-        live.emplace(token, ev);
+        const EventId id =
+            s.schedule(when, [&onFire, token] { onFire(token); });
+        live.emplace(token, std::make_pair(
+                                id, model.emplace(ModelKey{when, 1},
+                                                  token)));
+    };
+    auto feedArrival = [&] {
+        // Arrivals are sorted: never before the last one fed, nor
+        // before the clock; ties with the last are common.
+        const Time when = std::max(arrivals.back(), s.now()) +
+                          (draw(40) ? 0 : nearOff(rng));
+        const int token = nextToken++;
+        arrivals.push(when, token);
+        model.emplace(ModelKey{when, 0}, token);
     };
 
-    auto popOne = [&]() -> bool {
-        Time tHeap = 0;
-        Time tWheel = 0;
-        EventAction aHeap;
-        EventAction aWheel;
-        const bool gotHeap = heapQ.pop(tHeap, aHeap);
-        const bool gotWheel = wheelQ.pop(tWheel, aWheel);
-        EXPECT_EQ(gotHeap, gotWheel);
-        EXPECT_EQ(gotHeap, !model.empty());
-        if (!gotHeap || !gotWheel)
-            return false;
-        EXPECT_EQ(tHeap, tWheel);
-        aHeap();
-        aWheel();
-        EXPECT_FALSE(heapFired.empty());
-        EXPECT_FALSE(model.empty());
-        if (heapFired.empty() || model.empty())
-            return false;
-        const int token = heapFired.back();
-        EXPECT_EQ(wheelFired.back(), token);
+    onFire = [&](int token) {
+        ++fired;
+        ASSERT_FALSE(model.empty());
         EXPECT_EQ(model.begin()->second, token)
-            << "pop order diverged from the multimap reference";
-        EXPECT_EQ(model.begin()->first.first, tHeap);
+            << "firing order diverged from the multimap reference";
+        EXPECT_EQ(model.begin()->first.first, s.now());
         model.erase(model.begin());
-        auto liveIt = live.find(token);
-        EXPECT_NE(liveIt, live.end());
-        if (liveIt != live.end()) {
-            deadIds.emplace_back(liveIt->second.heapId,
-                                 liveIt->second.wheelId);
-            live.erase(liveIt);
+        auto it = live.find(token);
+        if (it != live.end()) {
+            deadIds.push_back(it->second.first);
+            live.erase(it);
         }
-        now = tHeap;
-        return true;
+        // Follow-up work, as device completions schedule it; a zero
+        // delay lands on this very tick behind any tied arrivals.
+        if (draw(25))
+            scheduleEvent(s.now() + (draw(40) ? 0 : nearOff(rng)));
     };
 
+    s.setArrivals(&arrivals);
     constexpr int kOps = 20'000;
     for (int op = 0; op < kOps; ++op) {
         const int r = std::uniform_int_distribution<int>(0, 99)(rng);
         if (r < 45) {
-            scheduleOne(/*front=*/false);
-        } else if (r < 55) {
-            scheduleOne(/*front=*/true);
-        } else if (r < 65 && !live.empty()) {
-            // Cancel a random live event everywhere.
+            scheduleEvent(s.now() + offset());
+        } else if (r < 60) {
+            feedArrival();
+        } else if (r < 68 && !live.empty()) {
+            // Cancel a random live queued event.
             auto it = live.begin();
             std::advance(it,
                          std::uniform_int_distribution<std::size_t>(
                              0, live.size() - 1)(rng));
-            EXPECT_TRUE(heapQ.cancel(it->second.heapId));
-            EXPECT_TRUE(wheelQ.cancel(it->second.wheelId));
-            model.erase(it->second.modelIt);
-            deadIds.emplace_back(it->second.heapId,
-                                 it->second.wheelId);
+            EXPECT_TRUE(s.cancel(it->second.first));
+            model.erase(it->second.second);
+            deadIds.push_back(it->second.first);
             live.erase(it);
-        } else if (r < 70 && !deadIds.empty()) {
-            // Stale cancel: fired or already-canceled ids must be
-            // rejected by the generation check in both queues, even
-            // after the slot has been recycled for a new event.
-            const auto &dead =
+            ++cancelled;
+        } else if (r < 72 && !deadIds.empty()) {
+            // Stale cancel: fired or already-cancelled ids must be
+            // rejected by the generation check, even after the slot
+            // has been recycled for a new event.
+            EXPECT_FALSE(s.cancel(
                 deadIds[std::uniform_int_distribution<std::size_t>(
-                    0, deadIds.size() - 1)(rng)];
-            EXPECT_FALSE(heapQ.cancel(dead.first));
-            EXPECT_FALSE(wheelQ.cancel(dead.second));
+                    0, deadIds.size() - 1)(rng)]));
         } else {
-            const int burst =
-                std::uniform_int_distribution<int>(1, 16)(rng);
-            for (int i = 0; i < burst; ++i) {
-                if (!popOne())
-                    break;
-            }
+            s.runUntil(s.now() + (draw(30) ? Time{0} : nearOff(rng)));
         }
-        ASSERT_EQ(heapQ.size(), model.size());
-        ASSERT_EQ(wheelQ.size(), model.size());
+        ASSERT_EQ(s.events().size(), live.size());
+        ASSERT_EQ(s.nextEventTime(), model.empty()
+                                         ? kTimeNever
+                                         : model.begin()->first.first);
     }
 
-    // Drain everything; the full histories must be identical.
-    while (popOne()) {
-    }
+    // Drain everything; every token fired exactly once, in order.
+    s.run();
+    s.setArrivals(nullptr);
     EXPECT_TRUE(model.empty());
-    EXPECT_TRUE(heapQ.empty());
-    EXPECT_TRUE(wheelQ.empty());
-    EXPECT_EQ(heapFired, wheelFired);
+    EXPECT_FALSE(s.pending());
+    EXPECT_EQ(fired + cancelled, static_cast<std::uint64_t>(nextToken));
+    EXPECT_EQ(s.executedCount(), fired);
+    std::vector<std::string> violations;
+    s.events().auditInvariants(violations);
+    EXPECT_TRUE(violations.empty());
 }
 
 TEST_P(QueueModelFuzz, StaleCancelIsRejectedAfterFire)
 {
     std::mt19937 rng(GetParam() ^ 0x5eedu);
     EventQueue q;
-    q.tuneWheel(kShortest, kLongest);
 
     std::vector<EventId> ids;
     std::uniform_int_distribution<Time> off(0, 6 * kLongest);
@@ -220,67 +210,6 @@ TEST_P(QueueModelFuzz, StaleCancelIsRejectedAfterFire)
         while (q.pop(t, a))
             a();
     }
-}
-
-/**
- * Simulator-level determinism: the same handler-driven workload on a
- * tuned and an untuned simulator must execute tokens in the same
- * order. Handlers reschedule with zero delay sometimes, which lands
- * mid-batch at the current tick — the hardest interleaving case for
- * batched dispatch.
- */
-TEST_P(QueueModelFuzz, TunedAndUntunedSimulatorsExecuteIdentically)
-{
-    auto runOne = [&](bool tuned) {
-        Simulator s;
-        if (tuned)
-            s.tuneEventHorizon(kShortest, kLongest);
-        std::vector<int> order;
-        std::mt19937 rng(GetParam() * 2654435761u + 1);
-        std::uniform_int_distribution<Time> off(0, 5 * kLongest);
-        constexpr Time kLatencies[4] = {160'000, 244'000, 1'385'000,
-                                        3'800'000};
-        int budget = 30'000;
-        int token = 0;
-
-        // Self-sustaining load: each handler reschedules one or two
-        // follow-ups while the budget lasts; ties are common because
-        // delays come from four fixed latencies.
-        std::function<void(int)> fire = [&](int id) {
-            order.push_back(id);
-            if (budget <= 0)
-                return;
-            const int kids =
-                std::uniform_int_distribution<int>(1, 2)(rng);
-            for (int k = 0; k < kids && budget > 0; ++k) {
-                --budget;
-                const int kid = ++token;
-                Time d;
-                const int pick =
-                    std::uniform_int_distribution<int>(0, 9)(rng);
-                if (pick == 0)
-                    d = 0; // same tick, scheduled mid-batch
-                else if (pick <= 7)
-                    d = kLatencies[static_cast<std::size_t>(pick) % 4];
-                else
-                    d = off(rng);
-                s.schedule(s.now() + d,
-                           [&fire, kid] { fire(kid); });
-            }
-        };
-        for (int i = 0; i < 32; ++i) {
-            --budget;
-            const int id = ++token;
-            s.schedule(off(rng), [&fire, id] { fire(id); });
-        }
-        s.run();
-        return order;
-    };
-
-    const std::vector<int> heapOrder = runOne(false);
-    const std::vector<int> wheelOrder = runOne(true);
-    EXPECT_EQ(heapOrder.size(), 30'000u);
-    EXPECT_EQ(heapOrder, wheelOrder);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueModelFuzz,

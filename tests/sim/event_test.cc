@@ -398,74 +398,70 @@ TEST(Simulator, ManyEventsStaySorted)
     EXPECT_TRUE(monotonic);
 }
 
-TEST(EventQueueWheel, TuneWithPendingEventsFlushesAndPreservesOrder)
+namespace {
+
+/** Arrival cursor over a fixed time list; arrival k records -k. */
+class ListCursor final : public ArrivalCursor
 {
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i)
-        q.schedule(static_cast<Time>((i * 37) % 50) * 100'000,
-                   [&order, i] { order.push_back(i); });
-    // Tuning mid-flight must flush the wheel/heap safely; a second
-    // retune with different parameters must be just as safe.
-    q.tuneWheel(160'000, 3'800'000);
-    EXPECT_TRUE(q.wheelTuned());
-    for (int i = 64; i < 128; ++i)
-        q.schedule(static_cast<Time>((i * 37) % 50) * 100'000,
-                   [&order, i] { order.push_back(i); });
-    q.tuneWheel(80'000, 8'000'000);
-    EXPECT_TRUE(q.wheelTuned());
-    Time t;
-    EventAction a;
-    Time last = -1;
-    while (q.pop(t, a)) {
-        EXPECT_GE(t, last);
-        last = t;
-        a();
+  public:
+    ListCursor(std::vector<Time> times, std::vector<int> &fired)
+        : times_(std::move(times)), fired_(fired)
+    {
     }
-    EXPECT_EQ(order.size(), 128u);
-    // Same-time events must still fire in schedule order.
-    std::vector<int> expected(128);
-    for (int i = 0; i < 128; ++i)
-        expected[static_cast<std::size_t>(i)] = i;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](int a_, int b_) {
-                         return (a_ * 37) % 50 < (b_ * 37) % 50;
-                     });
-    EXPECT_EQ(order, expected);
+
+    Time
+    nextArrival() const override
+    {
+        return pos_ < times_.size() ? times_[pos_] : kTimeNever;
+    }
+
+    void
+    fireNext() override
+    {
+        fired_.push_back(-static_cast<int>(++pos_));
+    }
+
+  private:
+    std::vector<Time> times_;
+    std::size_t pos_ = 0;
+    std::vector<int> &fired_;
+};
+
+} // namespace
+
+TEST(Simulator, ArrivalsWinSameTickTiesAndCountAsEvents)
+{
+    Simulator s;
+    std::vector<int> fired;
+    // Events scheduled before the cursor exists still lose the tie.
+    s.schedule(100, [&fired] { fired.push_back(1); });
+    s.schedule(200, [&fired] { fired.push_back(2); });
+    ListCursor arrivals({100, 100, 150, 200}, fired);
+    s.setArrivals(&arrivals);
+    std::uint64_t hooks = 0;
+    s.addPostEventHook([&hooks](const Simulator &) { ++hooks; });
+    EXPECT_EQ(s.run(), 6u);
+    s.setArrivals(nullptr);
+    EXPECT_EQ(fired, (std::vector<int>{-1, -2, 1, -3, -4, 2}));
+    EXPECT_EQ(s.executedCount(), 6u);
+    EXPECT_EQ(s.arrivalsFired(), 4u);
+    EXPECT_EQ(hooks, 6u);
+    EXPECT_EQ(s.now(), 200);
 }
 
-TEST(EventQueueWheel, EpochAdvancesAcrossWindows)
+TEST(Simulator, RunUntilMergesArrivalsUpToTheDeadline)
 {
-    EventQueue q;
-    q.tuneWheel(160'000, 3'800'000);
-    // Chain far past the first epoch window: each event schedules the
-    // next one a full window ahead, forcing repeated re-anchors.
-    const Time step = 4 * 3'800'000;
-    int fired = 0;
-    for (int i = 0; i < 32; ++i)
-        q.schedule(static_cast<Time>(i) * step + 160'000,
-                   [&fired] { ++fired; });
-    Time t;
-    EventAction a;
-    while (q.pop(t, a))
-        a();
-    EXPECT_EQ(fired, 32);
-    EXPECT_GE(q.wheelEpochs(), 2u);
-    std::vector<std::string> violations;
-    q.auditInvariants(violations);
-    EXPECT_TRUE(violations.empty());
-}
-
-TEST(EventQueueWheel, UntunedQueueNeverTouchesWheel)
-{
-    EventQueue q;
-    for (int i = 0; i < 256; ++i)
-        q.schedule(i * 1000, [] {});
-    EXPECT_EQ(q.wheelScheduled(), 0u);
-    EXPECT_EQ(q.wheelOccupancy(), 0u);
-    Time t;
-    EventAction a;
-    while (q.pop(t, a))
-        a();
-    EXPECT_EQ(q.wheelEpochs(), 0u);
+    Simulator s;
+    std::vector<int> fired;
+    ListCursor arrivals({10, 30, 50}, fired);
+    s.setArrivals(&arrivals);
+    s.schedule(20, [&fired] { fired.push_back(1); });
+    EXPECT_TRUE(s.pending());
+    EXPECT_EQ(s.nextEventTime(), 10);
+    EXPECT_EQ(s.runUntil(30), 3u);
+    EXPECT_EQ(fired, (std::vector<int>{-1, 1, -2}));
+    EXPECT_EQ(s.nextEventTime(), 50);
+    EXPECT_EQ(s.run(), 1u);
+    EXPECT_FALSE(s.pending());
+    s.setArrivals(nullptr);
 }

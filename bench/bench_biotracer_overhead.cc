@@ -72,8 +72,7 @@ main(int argc, char **argv)
             host::Replayer rep(s, *dev);
             obs::ObserverOptions obs_opts;
             obs_opts.metrics = true;
-            obs_opts.replayStats = &rep.stats();
-            obs::DeviceObserver observer(s, *dev, obs_opts);
+            obs::DeviceObserver observer(s, *dev, obs_opts, &rep.stats());
             rep.replay(t);
             observer.finish();
             if (!args.metricsJson.empty())
@@ -145,8 +144,7 @@ main(int argc, char **argv)
             obs::ObserverOptions obs_opts;
             obs_opts.metrics = true;
             obs_opts.attribution = attribution;
-            obs_opts.replayStats = &rep.stats();
-            obs::DeviceObserver observer(s, *dev, obs_opts);
+            obs::DeviceObserver observer(s, *dev, obs_opts, &rep.stats());
             const auto t0 = std::chrono::steady_clock::now();
             rep.replay(t);
             const auto t1 = std::chrono::steady_clock::now();

@@ -14,7 +14,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/mmapfile.hh"
 #include "trace/binfmt.hh"
 #include "trace/ingest/ingest.hh"
 #include "trace/source.hh"
@@ -109,8 +108,7 @@ BM_BinStreamDecode(benchmark::State &state)
 {
     const std::string &path = binPath();
     for (auto _ : state) {
-        trace::BinTraceSource src(
-            path, trace::BinTraceSource::Backing::Streamed);
+        trace::BinTraceSource src(path);
         if (drainSource(src) != kRecords || src.failed())
             state.SkipWithError("binary stream decode failed");
     }
@@ -121,27 +119,6 @@ BM_BinStreamDecode(benchmark::State &state)
         static_cast<double>(is.tellg()) / kRecords;
 }
 BENCHMARK(BM_BinStreamDecode)->Unit(benchmark::kMillisecond);
-
-/** Same decode, block bodies served from an mmap of the file — the
- *  streamed-vs-mapped delta is the per-block read()+copy cost. */
-void
-BM_BinMmapDecode(benchmark::State &state)
-{
-    if (!core::MappedFile::supported()) {
-        state.SkipWithError("mmap not supported on this platform");
-        return;
-    }
-    const std::string &path = binPath();
-    for (auto _ : state) {
-        trace::BinTraceSource src(
-            path, trace::BinTraceSource::Backing::Mapped);
-        if (drainSource(src) != kRecords || src.failed())
-            state.SkipWithError("binary mmap decode failed");
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(kRecords) *
-                            state.iterations());
-}
-BENCHMARK(BM_BinMmapDecode)->Unit(benchmark::kMillisecond);
 
 void
 BM_BinEncode(benchmark::State &state)

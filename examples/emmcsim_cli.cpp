@@ -307,9 +307,7 @@ cmdReplay(const std::string &path, const std::string &scheme,
             return 1;
         }
         std::cout << "Replayed \"" << res.traceName << "\" on "
-                  << res.scheme
-                  << (src.mapped() ? " (memory-mapped)" : " (streamed)")
-                  << "\n\n";
+                  << res.scheme << "\n\n";
         core::TablePrinter table({"Metric", "Value"});
         table.addRow({"Requests", core::fmt(res.requests)});
         table.addRow(
@@ -589,8 +587,6 @@ cmdTraceInfo(const std::string &path, const std::string &metrics_json)
         table.addRow({"Block records", core::fmt(std::uint64_t{
                          info.blockRecords})});
         table.addRow({"Checksum", "verified"});
-        table.addRow({"Backing", bin_src.mapped() ? "memory-mapped"
-                                                  : "streamed"});
         table.addRow({"Replay timestamps",
                       info.hasReplayTimes ? "yes" : "no"});
     } else {

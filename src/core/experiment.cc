@@ -93,10 +93,9 @@ constexpr std::uint32_t kCaseVersion = 1;
 
 /**
  * Fill every device-side CaseResult column from the post-replay
- * device + replayer state. Shared by the in-memory and streaming
- * paths so a column added for one cannot silently miss the other.
- * Excluded: p99ResponseMs (each path has its own latency store),
- * snapshot / obs / audit artifacts, scheme and traceName.
+ * device + replayer state. Excluded: p99ResponseMs (in-memory and
+ * streamed replays keep different latency stores), snapshot / obs /
+ * audit artifacts, scheme and traceName.
  */
 void
 collectDeviceColumns(CaseResult &res, emmc::EmmcDevice &device,
@@ -177,7 +176,8 @@ collectDeviceColumns(CaseResult &res, emmc::EmmcDevice &device,
 /** Finish the observer and move its artifacts into @p res. */
 void
 collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
-                    const ObsRequest &req, const std::string &trace_name)
+                    const obs::ObserverOptions &req,
+                    const std::string &trace_name)
 {
     if (observer == nullptr)
         return;
@@ -197,22 +197,42 @@ collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
         res.obs.attribution = observer->attribution();
 }
 
-CaseResult
-runCaseImpl(const trace::Trace &t, SchemeKind kind,
-            const ExperimentOptions &opts, const std::string *image)
+/**
+ * What one case replays: an in-memory trace (runCase), the same trace
+ * continued from a case image (resumeCase), or a streaming source
+ * (runCaseStream).
+ */
+struct CaseInput
 {
+    const trace::Trace *trace = nullptr;
+    const std::string *image = nullptr;
+    trace::TraceSource *source = nullptr;
+};
+
+/** The one case body behind runCase, resumeCase and runCaseStream. */
+CaseResult
+runCaseBody(const CaseInput &in, SchemeKind kind,
+            const ExperimentOptions &opts)
+{
+    if (in.image != nullptr &&
+        (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)) {
+        sim::fatal("resumeCase cannot inject SPO or re-snapshot");
+    }
+    if (in.source != nullptr && opts.snapshotAt >= 0) {
+        sim::fatal("runCaseStream cannot snapshot (the image stores "
+                   "per-record timestamps; use runCase)");
+    }
+
     sim::Simulator simulator;
     emmc::EmmcConfig cfg = applyOptions(schemeConfig(kind), opts);
     auto device = makeDevice(simulator, kind, cfg);
 
     ftl::FtlStats before;
     std::string inner;
-    if (image != nullptr) {
+    if (in.image != nullptr) {
         // Resume: the device state (including any prefill) lives in
         // the image; re-aging it here would double the history.
-        EMMCSIM_ASSERT(opts.spo.ticks.empty() && opts.snapshotAt < 0,
-                       "resumeCase cannot inject SPO or re-snapshot");
-        BinReader header(*image);
+        BinReader header(*in.image);
         if (header.str() != kCaseMagic ||
             header.u32() != kCaseVersion) {
             sim::fatal("not an emmcsim case snapshot");
@@ -248,35 +268,36 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
     // request the observer is never built and the hooks stay null.
     std::unique_ptr<obs::DeviceObserver> observer;
     if (opts.obs.any()) {
-        obs::ObserverOptions obs_opts;
-        obs_opts.metrics = opts.obs.metrics;
-        obs_opts.trace = opts.obs.traceSpans;
-        obs_opts.sampleWindow = opts.obs.sampleWindow;
-        obs_opts.attribution = opts.obs.attribution;
-        obs_opts.replayStats = &replayer.stats();
         observer = std::make_unique<obs::DeviceObserver>(
-            simulator, *device, obs_opts);
+            simulator, *device, opts.obs, &replayer.stats());
     }
 
     host::ReplayOptions replay_opts;
     replay_opts.maxRetries = opts.hostMaxRetries;
     replay_opts.spo = opts.spo;
     replay_opts.snapshotAt = opts.snapshotAt;
-    trace::Trace replayed =
-        image ? replayer.resume(t, inner, replay_opts)
-              : replayer.replay(t, replay_opts);
 
     CaseResult res;
     res.scheme = schemeName(kind);
-    res.traceName = t.name();
+    if (in.source != nullptr) {
+        host::StreamReplayResult sres =
+            replayer.replayStream(*in.source, replay_opts);
+        res.traceName = in.source->name();
+        // Histogram-estimated tail (the stream keeps no per-record
+        // timestamps); res.replayed stays empty by design.
+        res.p99ResponseMs = sres.responseHistMs.percentileEstimate(99.0);
+    } else {
+        res.replayed = in.image != nullptr
+                           ? replayer.resume(*in.trace, inner, replay_opts)
+                           : replayer.replay(*in.trace, replay_opts);
+        res.traceName = in.trace->name();
+        // Exact nearest-rank tail from the replayed timestamps.
+        sim::Percentiles resp;
+        for (const auto &r : res.replayed.records())
+            resp.add(sim::toMilliseconds(r.finish - r.arrival));
+        res.p99ResponseMs = resp.percentile(99.0);
+    }
     collectDeviceColumns(res, *device, replayer, before);
-
-    // Tail latency from the replayed per-record timestamps (exact
-    // nearest-rank; the streaming path estimates from a histogram).
-    sim::Percentiles resp;
-    for (const auto &r : replayed.records())
-        resp.add(sim::toMilliseconds(r.finish - r.arrival));
-    res.p99ResponseMs = resp.percentile(99.0);
 
     if (replayer.snapshotTaken()) {
         BinWriter w;
@@ -287,8 +308,7 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
         res.snapshotImage = w.take();
     }
 
-    res.replayed = std::move(replayed);
-    collectObsArtifacts(res, observer.get(), opts.obs, t.name());
+    collectObsArtifacts(res, observer.get(), opts.obs, res.traceName);
     if (auditor) {
         auditor->runFullAudit();
         auditor->detach();
@@ -303,77 +323,21 @@ CaseResult
 runCase(const trace::Trace &t, SchemeKind kind,
         const ExperimentOptions &opts)
 {
-    return runCaseImpl(t, kind, opts, nullptr);
+    return runCaseBody({.trace = &t}, kind, opts);
 }
 
 CaseResult
 runCaseStream(trace::TraceSource &src, SchemeKind kind,
               const ExperimentOptions &opts)
 {
-    EMMCSIM_ASSERT(opts.snapshotAt < 0,
-                   "runCaseStream cannot snapshot (the image stores "
-                   "per-record timestamps; use runCase)");
-
-    sim::Simulator simulator;
-    emmc::EmmcConfig cfg = applyOptions(schemeConfig(kind), opts);
-    auto device = makeDevice(simulator, kind, cfg);
-
-    prefillDevice(*device, opts.prefill, opts.prefillSeed);
-    if (opts.prefill > 0.0)
-        device->ftl().journal().checkpoint();
-    const ftl::FtlStats before = device->ftl().stats();
-
-    std::unique_ptr<check::DeviceAuditor> auditor;
-    if (opts.auditEveryEvents > 0) {
-        check::AuditOptions audit_opts;
-        audit_opts.everyEvents = opts.auditEveryEvents;
-        auditor = std::make_unique<check::DeviceAuditor>(
-            simulator, *device, audit_opts);
-    }
-
-    host::Replayer replayer(simulator, *device);
-
-    std::unique_ptr<obs::DeviceObserver> observer;
-    if (opts.obs.any()) {
-        obs::ObserverOptions obs_opts;
-        obs_opts.metrics = opts.obs.metrics;
-        obs_opts.trace = opts.obs.traceSpans;
-        obs_opts.sampleWindow = opts.obs.sampleWindow;
-        obs_opts.attribution = opts.obs.attribution;
-        obs_opts.replayStats = &replayer.stats();
-        observer = std::make_unique<obs::DeviceObserver>(
-            simulator, *device, obs_opts);
-    }
-
-    host::ReplayOptions replay_opts;
-    replay_opts.maxRetries = opts.hostMaxRetries;
-    replay_opts.spo = opts.spo;
-    host::StreamReplayResult sres =
-        replayer.replayStream(src, replay_opts);
-
-    CaseResult res;
-    res.scheme = schemeName(kind);
-    res.traceName = src.name();
-    collectDeviceColumns(res, *device, replayer, before);
-
-    // Histogram-estimated tail (the stream keeps no per-record
-    // timestamps); res.replayed stays empty by design.
-    res.p99ResponseMs = sres.responseHistMs.percentileEstimate(99.0);
-
-    collectObsArtifacts(res, observer.get(), opts.obs, src.name());
-    if (auditor) {
-        auditor->runFullAudit();
-        auditor->detach();
-        res.audit = auditor->report();
-    }
-    return res;
+    return runCaseBody({.source = &src}, kind, opts);
 }
 
 CaseResult
 resumeCase(const trace::Trace &t, SchemeKind kind,
            const std::string &image, const ExperimentOptions &opts)
 {
-    return runCaseImpl(t, kind, opts, &image);
+    return runCaseBody({.trace = &t, .image = &image}, kind, opts);
 }
 
 } // namespace emmcsim::core

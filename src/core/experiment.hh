@@ -17,30 +17,13 @@
 #include "ftl/gc.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
+#include "obs/observer.hh"
 #include "obs/sampler.hh"
 #include "sim/stats.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
 
 namespace emmcsim::core {
-
-/** Observability recorded during a replay (src/obs). */
-struct ObsRequest
-{
-    /** Register the metrics registry and snapshot it at end of run. */
-    bool metrics = false;
-    /** Record request / flash-op spans for trace export. */
-    bool traceSpans = false;
-    /** Sampler window in ns; > 0 records windowed series. */
-    sim::Time sampleWindow = 0;
-    /** Aggregate per-request phase ledgers (report "attribution"). */
-    bool attribution = false;
-
-    bool any() const
-    {
-        return metrics || traceSpans || attribution || sampleWindow > 0;
-    }
-};
 
 /** Toggles applied on top of the Table V scheme configuration. */
 struct ExperimentOptions
@@ -92,11 +75,8 @@ struct ExperimentOptions
     fault::FaultConfig fault;
     /** Host retry budget for device-reported errors. */
     std::uint32_t hostMaxRetries = 3;
-    /**
-     * Observability: metrics / series / trace spans (all off by
-     * default, leaving the replay byte-identical to the pre-obs code).
-     */
-    ObsRequest obs;
+    /** Observability: metrics / series / trace spans / attribution. */
+    obs::ObserverOptions obs;
     /**
      * Sudden-power-off schedule injected by the host replayer (empty
      * ticks = off; see fault/spo.hh). Mutually exclusive with
@@ -186,7 +166,7 @@ struct CaseResult
     /** Observability artifacts (value-only; the device is gone). */
     struct ObsArtifacts
     {
-        /** True when any ObsRequest field was set. */
+        /** True when any ExperimentOptions::obs field was set. */
         bool enabled = false;
         /** End-of-run metric values (metrics / sampleWindow modes). */
         obs::MetricsSnapshot metrics;
@@ -218,7 +198,7 @@ CaseResult runCase(const trace::Trace &t, SchemeKind kind,
  * Device-side columns and observability artifacts are identical to
  * runCase() on the same records; differences: replayed stays empty,
  * p99ResponseMs is histogram-estimated rather than exact, and
- * opts.spo / opts.snapshotAt must be unset.
+ * opts.snapshotAt must be unset (sim::fatal otherwise).
  */
 CaseResult runCaseStream(trace::TraceSource &src, SchemeKind kind,
                          const ExperimentOptions &opts = {});
@@ -227,8 +207,9 @@ CaseResult runCaseStream(trace::TraceSource &src, SchemeKind kind,
  * Continue a run captured by runCase() with snapshotAt set. @p opts
  * must match the capturing run (the device is rebuilt from the same
  * scheme + options; mismatched geometry fails the image load), except
- * spo / snapshotAt which must be unset. The returned CaseResult is
- * byte-for-byte the one the uninterrupted run produces.
+ * spo / snapshotAt which must be unset (sim::fatal otherwise). The
+ * returned CaseResult is byte-for-byte the one the uninterrupted run
+ * produces.
  */
 CaseResult resumeCase(const trace::Trace &t, SchemeKind kind,
                       const std::string &image,

@@ -15,6 +15,7 @@
 #define EMMCSIM_FTL_BADBLOCK_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/binio.hh"
@@ -44,7 +45,15 @@ struct BadBlockEntry
     std::uint32_t pool = 0;
     std::uint32_t block = 0;
     RetireCause cause = RetireCause::EraseFail;
+    // Snapshot images store the table as raw bytes, so the padding is
+    // spelled out and zeroed; implicit padding would carry whatever
+    // the heap held before.
+    std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(BadBlockEntry) == 16 &&
+                  std::has_unique_object_representations_v<BadBlockEntry>,
+              "BadBlockEntry is snapshot layout v1: 16 bytes, no "
+              "implicit padding");
 
 /** Spare-budget configuration. */
 struct BbmConfig

@@ -48,13 +48,6 @@ foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
 
 } // namespace
 
-std::vector<double>
-StreamReplayResult::latencyBoundsMs()
-{
-    return {0.05, 0.1, 0.2,  0.5,  1.0,   2.0,   5.0,   10.0,
-            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
-}
-
 class Replayer::Sink
 {
   public:

@@ -119,9 +119,6 @@ struct ReplayStats
  */
 struct StreamReplayResult
 {
-    /** Latency-histogram bucket bounds, in ms (mirrors src/obs). */
-    static std::vector<double> latencyBoundsMs();
-
     std::uint64_t requests = 0;
     std::uint64_t writeRequests = 0;
     units::Bytes readBytes{0};
@@ -134,7 +131,7 @@ struct StreamReplayResult
     /** Service time of the final attempt, ms. */
     sim::OnlineStats serviceMs;
     /** Response-time distribution for tail estimates, ms. */
-    sim::Histogram responseHistMs{latencyBoundsMs()};
+    sim::Histogram responseHistMs{sim::latencyBoundsMs()};
 };
 
 /** Drives one device with one trace. */

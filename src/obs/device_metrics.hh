@@ -18,8 +18,6 @@
 #ifndef EMMCSIM_OBS_DEVICE_METRICS_HH
 #define EMMCSIM_OBS_DEVICE_METRICS_HH
 
-#include <string>
-
 #include "obs/metrics.hh"
 
 namespace emmcsim::emmc {
@@ -46,18 +44,13 @@ namespace emmcsim::obs {
  *
  * Wear gauges walk every block of the array and are registered as
  * snapshot-only (sampled == false).
- *
- * @param prefix Optional name prefix (must end with '.' when
- *        non-empty), used when one registry holds several devices.
  */
 void registerDeviceMetrics(Registry &registry,
-                           const emmc::EmmcDevice &device,
-                           const std::string &prefix = "");
+                           const emmc::EmmcDevice &device);
 
 /** Register host-side replay/retry counters ("host.replay.*"). */
 void registerReplayerMetrics(Registry &registry,
-                             const host::ReplayStats &stats,
-                             const std::string &prefix = "");
+                             const host::ReplayStats &stats);
 
 } // namespace emmcsim::obs
 

@@ -7,43 +7,37 @@ namespace emmcsim::obs {
 
 namespace {
 
-/** Millisecond latency buckets spanning flash-read to multi-second
- * GC-stall territory (roughly log-spaced, like the paper's CDFs). */
-std::vector<double>
-latencyBoundsMs()
-{
-    return {0.05, 0.1,  0.2,  0.5,   1.0,   2.0,    5.0,    10.0,
-            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
-}
+/** Slowest requests kept by the attribution summary. */
+constexpr std::size_t kSlowestRequests = 10;
 
 } // namespace
 
 DeviceObserver::DeviceObserver(sim::Simulator &simulator,
                                emmc::EmmcDevice &device,
-                               const ObserverOptions &opts)
+                               const ObserverOptions &opts,
+                               const host::ReplayStats *replayStats)
     : sim_(simulator), device_(device), opts_(opts)
 {
     if (metricsEnabled()) {
-        registerDeviceMetrics(registry_, device_, opts_.prefix);
-        if (opts_.replayStats != nullptr)
-            registerReplayerMetrics(registry_, *opts_.replayStats,
-                                    opts_.prefix);
+        registerDeviceMetrics(registry_, device_);
+        if (replayStats != nullptr)
+            registerReplayerMetrics(registry_, *replayStats);
         responseMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.response_ms", latencyBoundsMs());
+            "emmc.latency.response_ms", sim::latencyBoundsMs());
         serviceMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.service_ms", latencyBoundsMs());
+            "emmc.latency.service_ms", sim::latencyBoundsMs());
     }
 
     if (opts_.attribution)
-        recorder_ = std::make_unique<AttributionRecorder>(opts_.slowestK);
+        recorder_ = std::make_unique<AttributionRecorder>(kSlowestRequests);
 
-    if (metricsEnabled() || opts_.trace || opts_.attribution) {
+    if (metricsEnabled() || opts_.traceSpans || opts_.attribution) {
         device_.setTraceHook([this](const emmc::CompletedRequest &c) {
             onRequest(c);
         });
         hooked_ = true;
     }
-    if (opts_.trace) {
+    if (opts_.traceSpans) {
         flash::FlashArray &array = device_.array();
         const flash::Geometry &geom = array.geometry();
         array.setOpHook([this, &geom](flash::OpKind kind,
@@ -77,7 +71,7 @@ DeviceObserver::onRequest(const emmc::CompletedRequest &completed)
         serviceMsHist_->add(
             sim::toMilliseconds(completed.finish - completed.serviceStart));
     }
-    if (opts_.trace)
+    if (opts_.traceSpans)
         tracer_.onRequest(completed);
     if (recorder_)
         recorder_->onRequest(completed);
@@ -100,7 +94,7 @@ DeviceObserver::finish()
         device_.setTraceHook(nullptr);
         hooked_ = false;
     }
-    if (opts_.trace)
+    if (opts_.traceSpans)
         device_.array().setOpHook(nullptr);
 
     if (metricsEnabled())

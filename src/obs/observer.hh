@@ -20,7 +20,7 @@
 #ifndef EMMCSIM_OBS_OBSERVER_HH
 #define EMMCSIM_OBS_OBSERVER_HH
 
-#include <string>
+#include <memory>
 
 #include "obs/attribution.hh"
 #include "obs/device_metrics.hh"
@@ -38,36 +38,30 @@ struct ReplayStats;
 
 namespace emmcsim::obs {
 
-/** What to observe for one run. */
+/**
+ * What to observe for one run (all off by default, leaving the replay
+ * byte-identical to one without the observability layer).
+ */
 struct ObserverOptions
 {
     /** Register metrics and take an end-of-run snapshot. */
     bool metrics = false;
     /** Record request / flash-op spans for trace export. */
-    bool trace = false;
+    bool traceSpans = false;
     /**
      * Sampler window in simulated ns; > 0 enables windowed series
      * (implies metrics).
      */
     sim::Time sampleWindow = 0;
     /**
-     * Host-side replay counters to include under "host.replay.*"
-     * (borrowed; may be null).
-     */
-    const host::ReplayStats *replayStats = nullptr;
-    /**
      * Record per-request phase ledgers and aggregate them into the
      * report's "attribution" section.
      */
     bool attribution = false;
-    /** Slowest-request count kept by the attribution summary. */
-    std::size_t slowestK = 10;
-    /** Metric name prefix (must end with '.' when non-empty). */
-    std::string prefix;
 
     bool any() const
     {
-        return metrics || trace || attribution || sampleWindow > 0;
+        return metrics || traceSpans || attribution || sampleWindow > 0;
     }
 };
 
@@ -78,9 +72,12 @@ class DeviceObserver
     /**
      * Install hooks per @p opts. The simulator and device must
      * outlive the observer or finish() must be called first.
+     * @p replayStats (borrowed; may be null) adds the host-side replay
+     * counters under "host.replay.*" in metrics mode.
      */
     DeviceObserver(sim::Simulator &simulator, emmc::EmmcDevice &device,
-                   const ObserverOptions &opts);
+                   const ObserverOptions &opts,
+                   const host::ReplayStats *replayStats = nullptr);
 
     DeviceObserver(const DeviceObserver &) = delete;
     DeviceObserver &operator=(const DeviceObserver &) = delete;
@@ -114,7 +111,7 @@ class DeviceObserver
     /** Windowed series; empty when no sampler ran. */
     SeriesSet series() const;
 
-    bool tracing() const { return opts_.trace; }
+    bool tracing() const { return opts_.traceSpans; }
     bool metricsEnabled() const
     {
         return opts_.metrics || opts_.sampleWindow > 0;

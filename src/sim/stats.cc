@@ -8,6 +8,13 @@
 
 namespace emmcsim::sim {
 
+std::vector<double>
+latencyBoundsMs()
+{
+    return {0.05, 0.1,  0.2,  0.5,   1.0,   2.0,    5.0,    10.0,
+            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
+}
+
 void
 OnlineStats::add(double x)
 {

@@ -63,6 +63,14 @@ class OnlineStats
 };
 
 /**
+ * Response/service-time histogram bounds in ms, spanning flash-read to
+ * multi-second GC-stall territory (roughly log-spaced, like the
+ * paper's CDFs). The observer's latency histograms and the streaming
+ * replay's tail estimate both bucket with these.
+ */
+std::vector<double> latencyBoundsMs();
+
+/**
  * A histogram over explicit, caller-supplied bucket upper bounds.
  *
  * Buckets are [prev_bound, bound); a final implicit overflow bucket

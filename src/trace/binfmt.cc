@@ -50,11 +50,16 @@ getU64(const char *p)
     return v;
 }
 
-/** Validate the fixed 48-byte header; name is read by the caller. */
+/** Parse + sanity-check the fixed header and name from @p is. */
 bool
-parseFixedHeader(const char *hdr, BinTraceInfo &out,
-                 std::uint32_t &nameLen, TraceLoadError &err)
+parseHeader(std::istream &is, BinTraceInfo &out, TraceLoadError &err)
 {
+    char hdr[kBinTraceHeaderBytes];
+    is.read(hdr, sizeof hdr);
+    if (is.gcount() != static_cast<std::streamsize>(sizeof hdr)) {
+        err.reason = "not an emmctrace-bin file (header truncated)";
+        return false;
+    }
     if (std::memcmp(hdr, kBinTraceMagic, kBinTraceMagicLen) != 0) {
         err.reason = "not an emmctrace-bin file (bad magic)";
         return false;
@@ -70,7 +75,7 @@ parseFixedHeader(const char *hdr, BinTraceInfo &out,
     out.records = getU64(hdr + kOffRecordCount);
     out.checksum = getU64(hdr + kOffChecksum);
     out.blockRecords = getU32(hdr + kOffBlockRecords);
-    nameLen = getU32(hdr + kOffNameLen);
+    const std::uint32_t nameLen = getU32(hdr + kOffNameLen);
     if (out.blockRecords == 0 || out.blockRecords > (1u << 20)) {
         err.reason = "corrupt emmctrace-bin header (block size " +
                      std::to_string(out.blockRecords) + ")";
@@ -81,22 +86,6 @@ parseFixedHeader(const char *hdr, BinTraceInfo &out,
                      std::to_string(nameLen) + ")";
         return false;
     }
-    return true;
-}
-
-/** Parse + sanity-check the fixed header and name from @p is. */
-bool
-parseHeader(std::istream &is, BinTraceInfo &out, TraceLoadError &err)
-{
-    char hdr[kBinTraceHeaderBytes];
-    is.read(hdr, sizeof hdr);
-    if (is.gcount() != static_cast<std::streamsize>(sizeof hdr)) {
-        err.reason = "not an emmctrace-bin file (header truncated)";
-        return false;
-    }
-    std::uint32_t nameLen = 0;
-    if (!parseFixedHeader(hdr, out, nameLen, err))
-        return false;
     out.name.resize(nameLen);
     if (nameLen > 0) {
         is.read(out.name.data(), nameLen);
@@ -105,28 +94,6 @@ parseHeader(std::istream &is, BinTraceInfo &out, TraceLoadError &err)
             return false;
         }
     }
-    return true;
-}
-
-/** Mapped-mode header parse; advances @p off past header + name. */
-bool
-parseHeaderView(std::string_view file, std::size_t &off,
-                BinTraceInfo &out, TraceLoadError &err)
-{
-    if (file.size() - off < kBinTraceHeaderBytes) {
-        err.reason = "not an emmctrace-bin file (header truncated)";
-        return false;
-    }
-    std::uint32_t nameLen = 0;
-    if (!parseFixedHeader(file.data() + off, out, nameLen, err))
-        return false;
-    off += kBinTraceHeaderBytes;
-    if (file.size() - off < nameLen) {
-        err.reason = "emmctrace-bin file truncated in the name";
-        return false;
-    }
-    out.name.assign(file.data() + off, nameLen);
-    off += nameLen;
     return true;
 }
 
@@ -254,23 +221,13 @@ saveBinTraceFile(const Trace &t, const std::string &path)
         sim::fatal("error while writing trace file: " + path);
 }
 
-BinTraceSource::BinTraceSource(std::string path, Backing backing)
-    : path_(std::move(path))
+BinTraceSource::BinTraceSource(std::string path)
+    : path_(std::move(path)), is_(path_, std::ios::binary)
 {
-    if (backing != Backing::Streamed)
-        map_ = core::MappedFile::open(path_);
-    if (!map_.valid()) {
-        if (backing == Backing::Mapped) {
-            err_.line = 0;
-            err_.reason = "cannot memory-map trace file: " + path_;
-            return;
-        }
-        is_.open(path_, std::ios::binary);
-        if (!is_) {
-            err_.line = 0;
-            err_.reason = "cannot open trace file: " + path_;
-            return;
-        }
+    if (!is_) {
+        err_.line = 0;
+        err_.reason = "cannot open trace file: " + path_;
+        return;
     }
     openHeader();
 }
@@ -278,14 +235,8 @@ BinTraceSource::BinTraceSource(std::string path, Backing backing)
 void
 BinTraceSource::openHeader()
 {
-    if (map_.valid()) {
-        mapPos_ = 0;
-        if (!parseHeaderView(map_.bytes(), mapPos_, info_, err_))
-            return;
-    } else if (!parseHeader(is_, info_, err_)) {
-        return;
-    }
-    name_ = info_.name;
+    if (parseHeader(is_, info_, err_))
+        name_ = info_.name;
 }
 
 bool
@@ -294,29 +245,8 @@ BinTraceSource::loadBlock()
     if (!err_.ok() || eof_)
         return false;
     char prefix[8];
-    std::string_view body;
-    bool cleanEof = false;
-    if (map_.valid()) {
-        const std::string_view file = map_.bytes();
-        if (mapPos_ == file.size()) {
-            cleanEof = true;
-        } else if (file.size() - mapPos_ < sizeof prefix) {
-            err_.reason = "emmctrace-bin file truncated mid-block";
-            return false;
-        }
-        if (!cleanEof)
-            std::memcpy(prefix, file.data() + mapPos_, sizeof prefix);
-    } else {
-        is_.read(prefix, sizeof prefix);
-        if (is_.gcount() == 0 && is_.eof()) {
-            cleanEof = true;
-        } else if (is_.gcount() !=
-                   static_cast<std::streamsize>(sizeof prefix)) {
-            err_.reason = "emmctrace-bin file truncated mid-block";
-            return false;
-        }
-    }
-    if (cleanEof) {
+    is_.read(prefix, sizeof prefix);
+    if (is_.gcount() == 0 && is_.eof()) {
         // Clean end of file: now — and only now — the header's record
         // count and checksum can be verified.
         eof_ = true;
@@ -332,6 +262,10 @@ BinTraceSource::loadBlock()
         }
         return false;
     }
+    if (is_.gcount() != static_cast<std::streamsize>(sizeof prefix)) {
+        err_.reason = "emmctrace-bin file truncated mid-block";
+        return false;
+    }
     const std::uint32_t n = getU32(prefix);
     const std::uint32_t bodyLen = getU32(prefix + 4);
     if (n == 0 || n > info_.blockRecords || bodyLen == 0 ||
@@ -339,27 +273,15 @@ BinTraceSource::loadBlock()
         err_.reason = "corrupt emmctrace-bin block header";
         return false;
     }
-    if (map_.valid()) {
-        // Decode straight out of the mapping — no buffer copy.
-        const std::string_view file = map_.bytes();
-        if (file.size() - mapPos_ - sizeof prefix < bodyLen) {
-            err_.reason = "emmctrace-bin file truncated mid-block";
-            return false;
-        }
-        body = file.substr(mapPos_ + sizeof prefix, bodyLen);
-        mapPos_ += sizeof prefix + bodyLen;
-    } else {
-        blockBuf_.resize(bodyLen);
-        is_.read(blockBuf_.data(), bodyLen);
-        if (is_.gcount() != static_cast<std::streamsize>(bodyLen)) {
-            err_.reason = "emmctrace-bin file truncated mid-block";
-            return false;
-        }
-        body = blockBuf_;
+    blockBuf_.resize(bodyLen);
+    is_.read(blockBuf_.data(), bodyLen);
+    if (is_.gcount() != static_cast<std::streamsize>(bodyLen)) {
+        err_.reason = "emmctrace-bin file truncated mid-block";
+        return false;
     }
     checksum_.update(prefix, sizeof prefix);
-    checksum_.update(body);
-    return decodeBlockBody(body, n);
+    checksum_.update(blockBuf_);
+    return decodeBlockBody(blockBuf_, n);
 }
 
 bool
@@ -448,17 +370,15 @@ BinTraceSource::reset()
     prevLbaSector_ = 0;
     checksum_.reset();
     eof_ = false;
-    if (!map_.valid()) {
-        is_.clear();
-        is_.seekg(0);
+    is_.clear();
+    is_.seekg(0);
+    if (!is_) {
+        is_.close();
+        is_.open(path_, std::ios::binary);
         if (!is_) {
-            is_.close();
-            is_.open(path_, std::ios::binary);
-            if (!is_) {
-                err_.line = 0;
-                err_.reason = "cannot reopen trace file: " + path_;
-                return;
-            }
+            err_.line = 0;
+            err_.reason = "cannot reopen trace file: " + path_;
+            return;
         }
     }
     openHeader();

@@ -25,12 +25,12 @@
  * when flag bit 0 is set, per-record (serviceStart - arrival) and
  * (finish - serviceStart) vu64 columns.
  *
- * The fixed-offset header is mmap-friendly: record count, checksum
- * and name are readable without touching a block. The checksum and
- * count are patched into the header by finish(), so the writer needs
- * a seekable stream; the reader verifies both only once the last
- * block is consumed — truncation or bit rot fails the stream loudly
- * instead of silently shrinking a workload.
+ * The fixed-offset header makes record count, checksum and name
+ * readable without touching a block. The checksum and count are
+ * patched into the header by finish(), so the writer needs a seekable
+ * stream; the reader verifies both only once the last block is
+ * consumed — truncation or bit rot fails the stream loudly instead of
+ * silently shrinking a workload.
  */
 
 #ifndef EMMCSIM_TRACE_BINFMT_HH
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "core/binio.hh"
-#include "core/mmapfile.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
 
@@ -117,31 +116,17 @@ class BinTraceWriter
 void saveBinTraceFile(const Trace &t, const std::string &path);
 
 /**
- * TraceSource over an emmctrace-bin v1 file. Decodes one block at a
- * time into a reused buffer; the checksum and the header record count
- * are verified when the final block is consumed.
- *
- * Two backings share the decode path. Mapped mode (the default when
- * the platform supports it) mmaps the whole file and decodes block
- * bodies straight out of the page cache — no per-block read() or
- * buffer copy. Streamed mode reads blocks through an ifstream into a
- * reused buffer. Auto tries to map and silently falls back, so
- * mapping is a fast path, never a requirement.
+ * TraceSource over an emmctrace-bin v1 file. Reads one block at a
+ * time through an ifstream into a reused buffer and decodes it into a
+ * reused record buffer, so memory holds one block whatever the trace
+ * length; the checksum and the header record count are verified when
+ * the final block is consumed.
  */
 class BinTraceSource : public TraceSource
 {
   public:
-    /** Where block bytes come from; see class comment. */
-    enum class Backing
-    {
-        Auto,     ///< mmap when possible, else stream
-        Mapped,   ///< mmap only; error() if the file will not map
-        Streamed, ///< always read through an ifstream
-    };
-
     /** Open @p path; failure is reported via error(), not thrown. */
-    explicit BinTraceSource(std::string path,
-                            Backing backing = Backing::Auto);
+    explicit BinTraceSource(std::string path);
 
     const std::string &name() const override { return name_; }
     std::size_t next(TraceRecord *out, std::size_t max) override;
@@ -150,9 +135,6 @@ class BinTraceSource : public TraceSource
 
     /** Header info (valid once the constructor succeeded). */
     const BinTraceInfo &info() const { return info_; }
-
-    /** Is the file served from a memory mapping (vs an ifstream)? */
-    bool mapped() const { return map_.valid(); }
 
     /** Cheap probe: does @p path start with the v1 magic? */
     static bool isBinTraceFile(const std::string &path);
@@ -168,18 +150,16 @@ class BinTraceSource : public TraceSource
     /** Decode the next block into decoded_; false on EOF or error. */
     bool loadBlock();
 
-    /** Decode one block body (shared by both backings). */
+    /** Decode one block body of @p n records. */
     bool decodeBlockBody(std::string_view body, std::uint32_t n);
 
     std::string path_;
     std::ifstream is_;
-    core::MappedFile map_;
-    std::size_t mapPos_ = 0; ///< cursor into map_ (mapped mode)
     std::string name_;
     BinTraceInfo info_;
     std::vector<TraceRecord> decoded_; ///< reused per-block buffer
     std::size_t pos_ = 0;              ///< cursor into decoded_
-    std::string blockBuf_;             ///< reused raw bytes (streamed)
+    std::string blockBuf_;             ///< reused raw block bytes
     std::uint64_t produced_ = 0;
     sim::Time prevArrival_ = 0;
     std::int64_t prevLbaSector_ = 0;

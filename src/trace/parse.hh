@@ -1,21 +1,28 @@
 /**
  * @file
- * Shared per-line parsing for the emmctrace text format.
+ * The one reader of the emmctrace text format.
  *
  * Trace::tryLoad (whole-file, in-memory) and TextTraceSource
- * (streaming cursor) must accept and reject exactly the same lines;
- * both call these helpers so the two paths cannot drift. Every
- * function reports failure as a reason string (empty = success) that
- * the caller wraps in its own error type with a line number.
+ * (streaming cursor) must accept and reject exactly the same input,
+ * so both pull records from one TextTraceReader: it owns comments,
+ * the "# name:" / "# records:" header lines, CRLF line ends, the
+ * record-count cross-check and I/O-error reporting. tryLoad drains
+ * it and sorts; TextTraceSource adds only its sorted-arrival check.
+ * The per-record helpers below report failure as a reason string
+ * (empty = success); checkRecord also guards emmctrace-bin blocks.
  */
 
 #ifndef EMMCSIM_TRACE_PARSE_HH
 #define EMMCSIM_TRACE_PARSE_HH
 
+#include <cstdint>
+#include <istream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "trace/record.hh"
+#include "trace/trace.hh"
 
 namespace emmcsim::trace {
 
@@ -97,6 +104,105 @@ parseRecordLine(const std::string &line, TraceRecord &r)
         return "trailing garbage after record: " + extra;
     return checkRecord(r);
 }
+
+/**
+ * Pull parser over an emmctrace text stream: one record per next().
+ * Blank lines and comments are skipped; "# name:" and "# records:"
+ * lines are honoured wherever they appear. At end of input the
+ * declared record count is cross-checked and a stream error (badbit)
+ * is reported rather than passed off as a shorter trace.
+ */
+class TextTraceReader
+{
+  public:
+    /** Read from @p is (borrowed; must outlive the reader). */
+    explicit TextTraceReader(std::istream &is) : is_(&is) {}
+
+    /**
+     * Parse the next record into @p r.
+     *
+     * @return false at end of input or on error; error() says which.
+     */
+    bool
+    next(TraceRecord &r)
+    {
+        if (done_)
+            return false;
+        while (std::getline(*is_, line_)) {
+            ++lineno_;
+            stripCr(line_);
+            if (line_.empty())
+                continue;
+            if (line_[0] == '#') {
+                header();
+                continue;
+            }
+            std::string reason = parseRecordLine(line_, r);
+            if (!reason.empty())
+                return fail(lineno_, std::move(reason));
+            ++records_;
+            return true;
+        }
+        // getline stops on either EOF or an I/O error; only the former
+        // is a complete trace.
+        if (is_->bad())
+            return fail(lineno_, "I/O error while reading trace");
+        done_ = true;
+        if (haveCount_ && declared_ != records_) {
+            return fail(0, "record count mismatch: header declares " +
+                               std::to_string(declared_) +
+                               " records, file has " +
+                               std::to_string(records_) +
+                               " (truncated or corrupt trace?)");
+        }
+        return false;
+    }
+
+    /** Workload label from the latest "# name:" line. */
+    const std::string &name() const { return name_; }
+
+    /** 1-based number of the last line read. */
+    std::size_t line() const { return lineno_; }
+
+    /** Failure details; ok() at a clean end of input. */
+    const TraceLoadError &error() const { return err_; }
+
+  private:
+    /** Record the "# name:" / "# records:" values; other comments are
+     *  ignored. */
+    void
+    header()
+    {
+        const std::string name_key = "# name: ";
+        const std::string count_key = "# records: ";
+        if (line_.rfind(name_key, 0) == 0) {
+            name_ = line_.substr(name_key.size());
+        } else if (line_.rfind(count_key, 0) == 0) {
+            std::istringstream ss(line_.substr(count_key.size()));
+            if (ss >> declared_)
+                haveCount_ = true;
+        }
+    }
+
+    bool
+    fail(std::size_t line, std::string reason)
+    {
+        done_ = true;
+        err_.line = line;
+        err_.reason = std::move(reason);
+        return false;
+    }
+
+    std::istream *is_;
+    std::string line_; ///< reused line buffer
+    std::size_t lineno_ = 0;
+    std::string name_;
+    bool haveCount_ = false;
+    std::uint64_t declared_ = 0;
+    std::uint64_t records_ = 0;
+    bool done_ = false;
+    TraceLoadError err_;
+};
 
 } // namespace emmcsim::trace
 

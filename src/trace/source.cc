@@ -1,9 +1,6 @@
 #include "trace/source.hh"
 
-#include <sstream>
 #include <utility>
-
-#include "trace/parse.hh"
 
 namespace emmcsim::trace {
 
@@ -21,97 +18,30 @@ TextTraceSource::TextTraceSource(std::string path)
 void
 TextTraceSource::prime()
 {
-    // Consume header comments so name() answers before the first
-    // next(); the first record line (if any) is buffered, not lost.
-    while (std::getline(is_, line_)) {
-        ++lineno_;
-        stripCr(line_);
-        if (line_.empty())
-            continue;
-        if (line_[0] == '#') {
-            const std::string name_key = "# name: ";
-            const std::string count_key = "# records: ";
-            if (line_.rfind(name_key, 0) == 0) {
-                name_ = line_.substr(name_key.size());
-            } else if (line_.rfind(count_key, 0) == 0) {
-                std::istringstream ss(line_.substr(count_key.size()));
-                if (ss >> declared_)
-                    haveCount_ = true;
-            }
-            continue;
-        }
-        TraceRecord r;
-        std::string reason = parseRecordLine(line_, r);
-        if (!reason.empty()) {
-            err_.line = lineno_;
-            err_.reason = std::move(reason);
-            return;
-        }
-        pending_ = r;
-        havePending_ = true;
-        return;
-    }
-    eof_ = true;
-    if (is_.bad()) {
-        err_.line = lineno_;
-        err_.reason = "I/O error while reading trace";
-    } else if (haveCount_ && declared_ != 0) {
-        err_.line = 0;
-        err_.reason = "record count mismatch: header declares " +
-                      std::to_string(declared_) +
-                      " records, file has 0 (truncated or corrupt "
-                      "trace?)";
-    }
+    havePending_ = reader_.next(pending_);
+    if (!havePending_)
+        err_ = reader_.error();
 }
 
 bool
 TextTraceSource::parseOne(TraceRecord &r)
 {
-    if (!err_.ok() || eof_)
+    if (!err_.ok())
         return false;
     if (havePending_) {
         r = pending_;
         havePending_ = false;
-    } else {
-        while (true) {
-            if (!std::getline(is_, line_)) {
-                eof_ = true;
-                if (is_.bad()) {
-                    err_.line = lineno_;
-                    err_.reason = "I/O error while reading trace";
-                } else if (haveCount_ && declared_ != produced_) {
-                    err_.line = 0;
-                    err_.reason =
-                        "record count mismatch: header declares " +
-                        std::to_string(declared_) + " records, file has " +
-                        std::to_string(produced_) +
-                        " (truncated or corrupt trace?)";
-                }
-                return false;
-            }
-            ++lineno_;
-            stripCr(line_);
-            if (line_.empty() || line_[0] == '#')
-                continue; // late comments are legal, just ignored
-            break;
-        }
-        std::string reason = parseRecordLine(line_, r);
-        if (!reason.empty()) {
-            err_.line = lineno_;
-            err_.reason = std::move(reason);
-            return false;
-        }
+    } else if (!reader_.next(r)) {
+        err_ = reader_.error();
+        return false;
     }
-    // Streaming cannot re-sort like Trace::tryLoad does; the file
-    // must already be arrival-ordered (ingest always writes it so).
     if (r.arrival < lastArrival_) {
-        err_.line = lineno_;
+        err_.line = reader_.line();
         err_.reason = "arrivals not sorted (a streaming source "
                       "requires a pre-sorted trace; re-ingest it)";
         return false;
     }
     lastArrival_ = r.arrival;
-    ++produced_;
     return true;
 }
 
@@ -128,14 +58,9 @@ void
 TextTraceSource::reset()
 {
     err_ = TraceLoadError{};
-    name_.clear();
-    lineno_ = 0;
     havePending_ = false;
-    haveCount_ = false;
-    declared_ = 0;
-    produced_ = 0;
     lastArrival_ = -1;
-    eof_ = false;
+    reader_ = TextTraceReader(is_);
     is_.clear();
     is_.seekg(0);
     if (!is_) {

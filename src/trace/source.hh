@@ -11,8 +11,9 @@
  *
  *  - MemoryTraceSource — non-owning cursor over an in-memory Trace
  *    (what replay() and resume() feed the replay loop).
- *  - TextTraceSource   — incremental parser over the emmctrace text
- *    format (this file).
+ *  - TextTraceSource   — cursor over the emmctrace text format,
+ *    pulling from the same TextTraceReader as Trace::tryLoad
+ *    (trace/parse.hh), so both accept and reject the same input.
  *  - BinTraceSource    — block decoder over emmctrace-bin v1
  *    (binfmt.hh).
  *
@@ -30,6 +31,7 @@
 #include <fstream>
 #include <string>
 
+#include "trace/parse.hh"
 #include "trace/trace.hh"
 
 namespace emmcsim::trace {
@@ -96,11 +98,12 @@ class MemoryTraceSource : public TraceSource
 };
 
 /**
- * Incremental parser over the emmctrace text format. The header
- * comments (name, declared record count) are consumed eagerly on
- * open, so name() is valid before the first next(); records are then
- * parsed one line per record on demand. Requires sorted arrivals and
- * cross-checks the "# records:" header at end of stream.
+ * Streaming cursor over the emmctrace text format. Records come from
+ * a TextTraceReader (the reader Trace::tryLoad drains), so both paths
+ * report the same TraceLoadError for the same input. The first record
+ * is read eagerly on open, so name() is valid before the first
+ * next(). On top of the reader this source only checks that arrivals
+ * are sorted: unlike tryLoad it cannot re-sort what it has not read.
  */
 class TextTraceSource : public TraceSource
 {
@@ -108,33 +111,28 @@ class TextTraceSource : public TraceSource
     /** Open @p path; failure is reported via error(), not thrown. */
     explicit TextTraceSource(std::string path);
 
-    const std::string &name() const override { return name_; }
+    // reader_ points at is_, so the source stays where it was built.
+    TextTraceSource(const TextTraceSource &) = delete;
+    TextTraceSource &operator=(const TextTraceSource &) = delete;
+
+    const std::string &name() const override { return reader_.name(); }
     std::size_t next(TraceRecord *out, std::size_t max) override;
     void reset() override;
     const TraceLoadError &error() const override { return err_; }
 
-    /** Records produced so far (cross-checked against the header). */
-    std::uint64_t produced() const { return produced_; }
-
   private:
-    /** Read lines up to (and buffering) the first record. */
+    /** Read up to (and buffer) the first record. */
     void prime();
 
-    /** Parse one record; false on EOF or error (err_ says which). */
+    /** Produce one record; false on EOF or error (err_ says which). */
     bool parseOne(TraceRecord &r);
 
     std::string path_;
     std::ifstream is_;
-    std::string name_;
-    std::string line_; ///< reused line buffer
-    std::size_t lineno_ = 0;
+    TextTraceReader reader_{is_};
     bool havePending_ = false; ///< prime() buffered one record
     TraceRecord pending_{};
-    bool haveCount_ = false;
-    std::uint64_t declared_ = 0;
-    std::uint64_t produced_ = 0;
     sim::Time lastArrival_ = -1;
-    bool eof_ = false;
     TraceLoadError err_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 #include "trace/parse.hh"
@@ -144,54 +143,15 @@ TraceLoadError::message() const
 bool
 Trace::tryLoad(std::istream &is, Trace &out, TraceLoadError &err)
 {
-    err = TraceLoadError{};
+    TextTraceReader reader(is);
     Trace t;
-    std::string line;
-    std::size_t lineno = 0;
-    bool have_count = false;
-    std::uint64_t declared = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        stripCr(line);
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            const std::string name_key = "# name: ";
-            const std::string count_key = "# records: ";
-            if (line.rfind(name_key, 0) == 0) {
-                t.setName(line.substr(name_key.size()));
-            } else if (line.rfind(count_key, 0) == 0) {
-                std::istringstream ss(line.substr(count_key.size()));
-                if (ss >> declared)
-                    have_count = true;
-            }
-            continue;
-        }
-        TraceRecord r;
-        std::string reason = parseRecordLine(line, r);
-        if (!reason.empty()) {
-            err.line = lineno;
-            err.reason = std::move(reason);
-            return false;
-        }
+    TraceRecord r;
+    while (reader.next(r))
         t.records_.push_back(r);
-    }
-    // getline stops on either EOF or an I/O error; only the former is
-    // a complete trace. A read error mid-file must not silently pass
-    // for a shorter workload.
-    if (is.bad()) {
-        err.line = lineno;
-        err.reason = "I/O error while reading trace";
+    err = reader.error();
+    if (!err.ok())
         return false;
-    }
-    if (have_count && declared != t.records_.size()) {
-        err.line = 0;
-        err.reason = "record count mismatch: header declares " +
-                     std::to_string(declared) + " records, file has " +
-                     std::to_string(t.records_.size()) +
-                     " (truncated or corrupt trace?)";
-        return false;
-    }
+    t.setName(reader.name());
     t.sortByArrival();
     out = std::move(t);
     return true;

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <vector>
 
+#include "trace/source.hh"
 #include "trace/trace.hh"
 
 using namespace emmcsim;
@@ -25,6 +28,41 @@ rec(sim::Time arrival, std::uint64_t unit, std::uint64_t units,
     r.sizeBytes = emmcsim::units::unitsToBytes(units);
     r.op = op;
     return r;
+}
+
+/**
+ * Load @p text through both text loaders: Trace::tryLoad on a
+ * stringstream and a TextTraceSource drained from the same bytes on
+ * disk. They share one line reader, so each must report the same
+ * TraceLoadError (line and reason); that error is returned.
+ */
+TraceLoadError
+loadBoth(const std::string &text)
+{
+    std::stringstream ss(text);
+    Trace t;
+    TraceLoadError err;
+    const bool loaded = Trace::tryLoad(ss, t, err);
+    EXPECT_EQ(loaded, err.ok());
+
+    // Unique per test: ctest runs the test binaries in parallel.
+    const std::string path =
+        testing::TempDir() + "/loadboth_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".trace";
+    std::ofstream(path, std::ios::binary) << text;
+    TextTraceSource src(path);
+    std::vector<TraceRecord> streamed;
+    TraceRecord buf[8];
+    while (std::size_t n = src.next(buf, 8))
+        streamed.insert(streamed.end(), buf, buf + n);
+    EXPECT_EQ(src.error().line, err.line);
+    EXPECT_EQ(src.error().reason, err.reason);
+    if (loaded) {
+        EXPECT_EQ(src.name(), t.name());
+        EXPECT_EQ(streamed.size(), t.size());
+    }
+    return err;
 }
 
 Trace
@@ -213,11 +251,7 @@ TEST(TraceIoErrors, TryLoadAcceptsGoodInput)
 
 TEST(TraceIoErrors, MalformedRecordReportsLineAndReason)
 {
-    std::stringstream ss;
-    ss << "0 0 4096 R\n1000 zero 4096 W\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 0 4096 R\n1000 zero 4096 W\n");
     EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 2u);
     EXPECT_NE(err.reason.find("malformed record"), std::string::npos);
@@ -226,22 +260,16 @@ TEST(TraceIoErrors, MalformedRecordReportsLineAndReason)
 
 TEST(TraceIoErrors, BadOpReportsTheOffendingCharacter)
 {
-    std::stringstream ss;
-    ss << "0 0 4096 X\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 0 4096 X\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 1u);
     EXPECT_NE(err.reason.find("bad op 'X'"), std::string::npos);
 }
 
 TEST(TraceIoErrors, NegativeArrivalRejected)
 {
-    std::stringstream ss;
-    ss << "-5 0 4096 R\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("-5 0 4096 R\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 1u);
     EXPECT_NE(err.reason.find("negative arrival"), std::string::npos);
 }
@@ -249,22 +277,16 @@ TEST(TraceIoErrors, NegativeArrivalRejected)
 TEST(TraceIoErrors, LoneServiceTimestampRejected)
 {
     // 5 tokens: a service start without its finish partner.
-    std::stringstream ss;
-    ss << "# header\n\n0 0 4096 R 100\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("# header\n\n0 0 4096 R 100\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 3u) << "comments and blanks still count";
     EXPECT_NE(err.reason.find("without a finish"), std::string::npos);
 }
 
 TEST(TraceIoErrors, TrailingGarbageRejected)
 {
-    std::stringstream ss;
-    ss << "0 0 4096 R 100 200 junk\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 0 4096 R 100 200 junk\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 1u);
     EXPECT_NE(err.reason.find("trailing garbage"), std::string::npos);
     EXPECT_NE(err.reason.find("junk"), std::string::npos);
@@ -297,9 +319,10 @@ TEST(TraceIoErrors, CrlfLinesParseCleanly)
 {
     // CRLF input used to embed the '\r' in the parsed name and feed
     // "4096\r" to the size parser; both must strip cleanly.
-    std::stringstream ss;
-    ss << "# emmctrace v1\r\n# name: Win\r\n# records: 1\r\n"
-          "0 0 4096 R\r\n";
+    const std::string text = "# emmctrace v1\r\n# name: Win\r\n"
+                             "# records: 1\r\n0 0 4096 R\r\n";
+    EXPECT_TRUE(loadBoth(text).ok());
+    std::stringstream ss(text);
     Trace t;
     TraceLoadError err;
     ASSERT_TRUE(Trace::tryLoad(ss, t, err)) << err.message();
@@ -310,42 +333,30 @@ TEST(TraceIoErrors, CrlfLinesParseCleanly)
 
 TEST(TraceIoErrors, ZeroSizeRecordRejectedAtLoad)
 {
-    std::stringstream ss;
-    ss << "0 0 0 R\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 0 0 R\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.line, 1u);
     EXPECT_NE(err.reason.find("zero size"), std::string::npos);
 }
 
 TEST(TraceIoErrors, MisalignedSizeRejectedAtLoad)
 {
-    std::stringstream ss;
-    ss << "0 0 1000 R\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 0 1000 R\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_NE(err.reason.find("4KB-aligned"), std::string::npos);
 }
 
 TEST(TraceIoErrors, MisalignedLbaRejectedAtLoad)
 {
-    std::stringstream ss;
-    ss << "0 3 4096 R\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("0 3 4096 R\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_NE(err.reason.find("lba"), std::string::npos);
 }
 
 TEST(TraceIoErrors, InvertedReplayTimestampsRejectedAtLoad)
 {
-    std::stringstream ss;
-    ss << "100 0 4096 R 90 80\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err = loadBoth("100 0 4096 R 90 80\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_NE(err.reason.find("timestamps"), std::string::npos);
 }
 
@@ -353,11 +364,9 @@ TEST(TraceIoErrors, RecordCountMismatchRejected)
 {
     // A declared count catches truncation that leaves whole lines
     // intact (e.g. a partial download losing the tail).
-    std::stringstream ss;
-    ss << "# records: 3\n0 0 4096 R\n10 0 4096 W\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_FALSE(Trace::tryLoad(ss, t, err));
+    const TraceLoadError err =
+        loadBoth("# records: 3\n0 0 4096 R\n10 0 4096 W\n");
+    EXPECT_FALSE(err.ok());
     EXPECT_NE(err.reason.find("record count mismatch"),
               std::string::npos);
     EXPECT_NE(err.reason.find("declares 3"), std::string::npos);
@@ -366,11 +375,21 @@ TEST(TraceIoErrors, RecordCountMismatchRejected)
 
 TEST(TraceIoErrors, RecordCountMatchAccepted)
 {
-    std::stringstream ss;
-    ss << "# records: 2\n0 0 4096 R\n10 0 4096 W\n";
-    Trace t;
-    TraceLoadError err;
-    EXPECT_TRUE(Trace::tryLoad(ss, t, err)) << err.message();
+    const TraceLoadError err =
+        loadBoth("# records: 2\n0 0 4096 R\n10 0 4096 W\n");
+    EXPECT_TRUE(err.ok()) << err.message();
+}
+
+TEST(TraceIoErrors, LateHeaderLinesCountInBothLoaders)
+{
+    // Header lines are honoured wherever they appear: a "# records:"
+    // after the records still cross-checks the count.
+    const TraceLoadError err =
+        loadBoth("0 0 4096 R\n# name: Late\n# records: 2\n");
+    EXPECT_EQ(err.line, 0u);
+    EXPECT_NE(err.reason.find("declares 2"), std::string::npos);
+    EXPECT_TRUE(
+        loadBoth("0 0 4096 R\n# name: Late\n# records: 1\n").ok());
 }
 
 TEST(TraceIoErrors, StreamIoErrorReported)

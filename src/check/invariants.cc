@@ -47,7 +47,7 @@ checkMappingBijection(const ftl::Ftl &ftl, CheckContext &ctx)
     const auto units =
         static_cast<std::int64_t>(map.logicalUnits());
     for (flash::Lpn lpn{0}; lpn.value() < units; ++lpn) {
-        const ftl::MapEntry &e = map.lookup(lpn);
+        const ftl::MapEntry e = map.lookup(lpn);
         if (!e.mapped()) {
             ctx.pass();
             continue;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -142,6 +143,26 @@ class BinWriter
             raw(v.data(), v.size() * sizeof(T));
     }
 
+    /**
+     * The podVec bytes of @p n elements of type T, element i being
+     * @p at(i). Lets a table stored in another encoding write the
+     * layout a plain vector of T would.
+     */
+    template <typename T, typename At>
+    void
+    podVecOf(std::size_t n, At at)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        u64(n);
+        const std::size_t base = buf_.size();
+        buf_.resize(base + n * sizeof(T));
+        char *out = buf_.data() + base;
+        for (std::size_t i = 0; i < n; ++i) {
+            const T v = at(i);
+            std::memcpy(out + i * sizeof(T), &v, sizeof(T));
+        }
+    }
+
     /** std::vector<bool> packed 8 flags per byte. */
     void
     boolVec(const std::vector<bool> &v)
@@ -165,7 +186,7 @@ class BinWriter
      * the durable-trim table is huge but almost always empty.
      */
     void
-    sparseU64(const std::vector<std::uint64_t> &v)
+    sparseU64(std::span<const std::uint64_t> v)
     {
         std::uint64_t nonzero = 0;
         for (std::uint64_t x : v)
@@ -328,6 +349,23 @@ class BinReader
             raw(v.data(), n * sizeof(T));
     }
 
+    /**
+     * Read a podVec of exactly @p n elements of type T, handing each
+     * to @p put(i, value): the inverse of BinWriter::podVecOf. A
+     * different length or a short image fails the read before any
+     * call.
+     */
+    template <typename T, typename Put>
+    void
+    podVecInto(std::size_t n, Put put)
+    {
+        if (u64() != n) {
+            ok_ = false;
+            return;
+        }
+        podBody<T>(n, put);
+    }
+
     void
     boolVec(std::vector<bool> &v)
     {
@@ -382,7 +420,65 @@ class BinReader
         }
     }
 
+    /**
+     * Read a sparseU64 of exactly v.size() values into @p v, which
+     * must be all zero: only the non-zero values are stored, so the
+     * untouched part of a zero-page table stays untouched.
+     */
+    void
+    sparseU64Into(std::span<std::uint64_t> v)
+    {
+        const std::uint64_t n = u64();
+        const std::uint8_t mode = u8();
+        if (n != v.size()) {
+            ok_ = false;
+            return;
+        }
+        if (mode == 1) {
+            const std::uint64_t nonzero = u64();
+            if (nonzero > remaining() / 16) {
+                ok_ = false;
+                return;
+            }
+            for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
+                const std::uint64_t i = u64();
+                const std::uint64_t x = u64();
+                if (i >= n) {
+                    ok_ = false;
+                    return;
+                }
+                if (x != 0)
+                    v[i] = x;
+            }
+        } else {
+            podBody<std::uint64_t>(n, [&v](std::size_t i,
+                                           std::uint64_t x) {
+                if (x != 0)
+                    v[i] = x;
+            });
+        }
+    }
+
   private:
+    /** @p n raw elements of type T, each handed to @p put(i, value). */
+    template <typename T, typename Put>
+    void
+    podBody(std::size_t n, Put put)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (n > remaining() / sizeof(T)) {
+            ok_ = false;
+            return;
+        }
+        const char *in = buf_.data() + pos_;
+        for (std::size_t i = 0; i < n; ++i) {
+            T v;
+            std::memcpy(&v, in + i * sizeof(T), sizeof(T));
+            put(i, v);
+        }
+        pos_ += n * sizeof(T);
+    }
+
     void
     raw(void *p, std::size_t n)
     {

@@ -16,9 +16,9 @@ BlockPool::BlockPool(const PoolConfig &cfg, std::uint32_t pages_per_block)
     EMMCSIM_ASSERT(unitsPerPage_ >= 1 && unitsPerPage_ <= 8,
                    "units per page out of supported range");
     const std::uint64_t pages = pageCount();
-    lpns_.assign(pages * unitsPerPage_, kNoLpn);
-    valid_.assign(pages, 0);
-    pageSeq_.assign(pages, 0);
+    lpns_ = core::ZeroArray<std::int64_t>(pages * unitsPerPage_);
+    valid_ = core::ZeroArray<std::uint8_t>(pages);
+    pageSeq_ = core::ZeroArray<std::uint64_t>(pages);
     writePtr_.assign(blocks_, 0);
     blockValid_.assign(blocks_, 0);
     eraseCnt_.assign(blocks_, 0);
@@ -99,7 +99,7 @@ BlockPool::setUnit(Ppn ppn, std::uint32_t slot, Lpn lpn)
     EMMCSIM_ASSERT(lpn.value() >= 0, "setUnit with invalid lpn");
     std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
     EMMCSIM_ASSERT(!(valid_[p] & bit), "setUnit on already-valid unit");
-    lpns_[p * unitsPerPage_ + slot] = lpn;
+    lpns_[p * unitsPerPage_ + slot] = encodeLpn(lpn);
     valid_[p] |= bit;
     ++blockValid_[blockIndex(units::pageToBlock(ppn, pagesPerBlock_))];
     ++validUnits_;
@@ -127,7 +127,7 @@ BlockPool::lpnAt(Ppn ppn, std::uint32_t slot) const
     const std::size_t p = pageIndex(ppn);
     EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
                    "lpnAt out of range");
-    return lpns_[p * unitsPerPage_ + slot];
+    return decodeLpn(lpns_[p * unitsPerPage_ + slot]);
 }
 
 bool
@@ -196,26 +196,23 @@ BlockPool::eraseBlock(BlockId b)
                    "eraseBlock with live units; relocate first");
     EMMCSIM_ASSERT(active_ != static_cast<std::int32_t>(i),
                    "eraseBlock on the active block");
-    const std::size_t first =
-        pageIndex(units::blockFirstPage(b, pagesPerBlock_));
-    std::fill(lpns_.begin() +
-                  static_cast<std::ptrdiff_t>(first * unitsPerPage_),
-              lpns_.begin() + static_cast<std::ptrdiff_t>(
-                  (first + pagesPerBlock_) * unitsPerPage_),
-              kNoLpn);
-    std::fill(valid_.begin() + static_cast<std::ptrdiff_t>(first),
-              valid_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint8_t{0});
-    std::fill(pageSeq_.begin() + static_cast<std::ptrdiff_t>(first),
-              pageSeq_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint64_t{0});
+    clearBlockPages(b);
     writePtr_[i] = 0;
     ++eraseCnt_[i];
     ++totalErases_;
     isFree_[i] = true;
     ++freeCount_;
+}
+
+void
+BlockPool::clearBlockPages(BlockId b)
+{
+    const std::size_t first =
+        pageIndex(units::blockFirstPage(b, pagesPerBlock_));
+    lpns_.zero(first * unitsPerPage_,
+               std::size_t{pagesPerBlock_} * unitsPerPage_);
+    valid_.zero(first, pagesPerBlock_);
+    pageSeq_.zero(first, pagesPerBlock_);
 }
 
 void
@@ -259,21 +256,7 @@ BlockPool::retireBlock(BlockId b)
                    "retireBlock with live units; relocate first");
     EMMCSIM_ASSERT(active_ != static_cast<std::int32_t>(i),
                    "retireBlock on the active block");
-    const std::size_t first =
-        pageIndex(units::blockFirstPage(b, pagesPerBlock_));
-    std::fill(lpns_.begin() +
-                  static_cast<std::ptrdiff_t>(first * unitsPerPage_),
-              lpns_.begin() + static_cast<std::ptrdiff_t>(
-                  (first + pagesPerBlock_) * unitsPerPage_),
-              kNoLpn);
-    std::fill(valid_.begin() + static_cast<std::ptrdiff_t>(first),
-              valid_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint8_t{0});
-    std::fill(pageSeq_.begin() + static_cast<std::ptrdiff_t>(first),
-              pageSeq_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint64_t{0});
+    clearBlockPages(b);
     // The write pointer stays at the end: a retired block is "full" of
     // nothing, keeping it out of every allocation and victim scan.
     writePtr_[i] = pagesPerBlock_;
@@ -312,7 +295,7 @@ BlockPool::corruptUnitForTest(Ppn ppn, std::uint32_t slot, Lpn lpn,
     const std::size_t p = pageIndex(ppn);
     EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
                    "corruptUnitForTest out of range");
-    lpns_[p * unitsPerPage_ + slot] = lpn;
+    lpns_[p * unitsPerPage_ + slot] = encodeLpn(lpn);
     std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
     if (valid)
         valid_[p] |= bit;
@@ -373,17 +356,17 @@ BlockPool::tearPage(Ppn ppn)
             --blockValid_[b];
             --validUnits_;
         }
-        lpns_[p * unitsPerPage_ + u] = kNoLpn;
     }
-    valid_[p] = 0;
-    pageSeq_[p] = 0;
+    lpns_.zero(p * unitsPerPage_, unitsPerPage_);
+    valid_.zero(p, 1);
+    pageSeq_.zero(p, 1);
     ++tornPages_;
 }
 
 void
 BlockPool::beginRecoveryScan()
 {
-    std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+    valid_.clear();
     std::fill(blockValid_.begin(), blockValid_.end(), 0u);
     validUnits_ = 0;
 }
@@ -394,7 +377,7 @@ BlockPool::revalidateUnit(Ppn ppn, std::uint32_t slot)
     const std::size_t p = pageIndex(ppn);
     EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
                    "revalidateUnit out of range");
-    EMMCSIM_ASSERT(lpns_[p * unitsPerPage_ + slot] != kNoLpn,
+    EMMCSIM_ASSERT(decodeLpn(lpns_[p * unitsPerPage_ + slot]) != kNoLpn,
                    "revalidateUnit on unwritten slot");
     const std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
     EMMCSIM_ASSERT(!(valid_[p] & bit), "revalidateUnit on live unit");
@@ -417,9 +400,13 @@ BlockPool::save(core::BinWriter &w) const
     w.u32(unitsPerPage_);
     w.u32(blocks_);
     w.u32(pagesPerBlock_);
-    w.podVec(lpns_);
-    w.podVec(valid_);
-    w.sparseU64(pageSeq_);
+    // Snapshot layout v1 stores the dense tables: lpns as Lpn with
+    // kNoLpn for unwritten slots.
+    w.podVecOf<Lpn>(lpns_.size(),
+                    [this](std::size_t i) { return decodeLpn(lpns_[i]); });
+    w.podVecOf<std::uint8_t>(valid_.size(),
+                             [this](std::size_t i) { return valid_[i]; });
+    w.sparseU64(pageSeq_.span());
     w.podVec(writePtr_);
     w.podVec(blockValid_);
     w.podVec(eraseCnt_);
@@ -445,9 +432,21 @@ BlockPool::load(core::BinReader &r)
         r.fail();
         return;
     }
-    r.podVec(lpns_);
-    r.podVec(valid_);
-    r.sparseU64(pageSeq_);
+    // Translate the dense v1 tables forward, storing only what is
+    // non-zero in this pool's encoding.
+    lpns_.clear();
+    valid_.clear();
+    pageSeq_.clear();
+    r.podVecInto<Lpn>(lpns_.size(), [this](std::size_t i, Lpn lpn) {
+        if (lpn != kNoLpn)
+            lpns_[i] = encodeLpn(lpn);
+    });
+    r.podVecInto<std::uint8_t>(valid_.size(),
+                               [this](std::size_t i, std::uint8_t v) {
+                                   if (v != 0)
+                                       valid_[i] = v;
+                               });
+    r.sparseU64Into(pageSeq_.span());
     r.podVec(writePtr_);
     r.podVec(blockValid_);
     r.podVec(eraseCnt_);
@@ -463,9 +462,7 @@ BlockPool::load(core::BinReader &r)
     programmed_ = r.u64();
     validUnits_ = r.u64();
     tornPages_ = r.u64();
-    if (lpns_.size() != pageCount() * unitsPerPage_ ||
-        valid_.size() != pageCount() || pageSeq_.size() != pageCount() ||
-        writePtr_.size() != blocks_ || blockValid_.size() != blocks_ ||
+    if (writePtr_.size() != blocks_ || blockValid_.size() != blocks_ ||
         eraseCnt_.size() != blocks_ || lastWriteSeq_.size() != blocks_ ||
         isFree_.size() != blocks_ || suspect_.size() != blocks_ ||
         retired_.size() != blocks_)

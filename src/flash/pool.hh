@@ -28,6 +28,7 @@
 
 #include "core/binio.hh"
 #include "core/units.hh"
+#include "core/zero_array.hh"
 #include "flash/geometry.hh"
 
 namespace emmcsim::flash {
@@ -257,6 +258,14 @@ class BlockPool
     /** Pop the free block with the lowest erase count. */
     std::uint32_t takeFreeBlock();
 
+    /** lpns_ encoding: lpn + 1, so kNoLpn is stored as 0. @{ */
+    static std::int64_t encodeLpn(Lpn lpn) { return lpn.value() + 1; }
+    static Lpn decodeLpn(std::int64_t v) { return Lpn{v - 1}; }
+    /** @} */
+
+    /** Zero all unit state (lpns, valid bits, seq) of block @p b. */
+    void clearBlockPages(BlockId b);
+
     /** Flat lpns_/valid_ index of @p ppn (audited domain exit). */
     std::size_t
     pageIndex(Ppn ppn) const
@@ -276,12 +285,19 @@ class BlockPool
     std::uint32_t blocks_;
     std::uint32_t pagesPerBlock_;
 
-    /** lpn per (page, slot); flat, kNoLpn when unwritten/erased. */
-    std::vector<Lpn> lpns_;
+    /**
+     * @name Per-page tables on zero pages (core/zero_array.hh).
+     * All-zero means unwritten, so a fresh pool touches no memory and
+     * nothing writes zeros over an already-zero entry.
+     * @{
+     */
+    /** lpn + 1 per (page, slot); flat, 0 when unwritten/erased. */
+    core::ZeroArray<std::int64_t> lpns_;
     /** valid bitmask per page (bit u = slot u live). */
-    std::vector<std::uint8_t> valid_;
+    core::ZeroArray<std::uint8_t> valid_;
     /** OOB write-sequence stamp per page (0 = unstamped). */
-    std::vector<std::uint64_t> pageSeq_;
+    core::ZeroArray<std::uint64_t> pageSeq_;
+    /** @} */
     /** write pointer per block (pages programmed so far). */
     std::vector<std::uint32_t> writePtr_;
     /** live units per block. */

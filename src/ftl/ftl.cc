@@ -178,7 +178,7 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
     // only after the program succeeded, so every rejection path above
     // leaves the old mapping fully intact.
     for (flash::Lpn lpn : lpns) {
-        const MapEntry &old = map_.lookup(lpn);
+        const MapEntry old = map_.lookup(lpn);
         if (old.mapped()) {
             array_.plane(static_cast<std::uint32_t>(old.planeLinear))
                 .pool(old.pool)
@@ -320,7 +320,7 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
     std::uint32_t run_len = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         flash::Lpn lpn = start + i;
-        const MapEntry &e = map_.lookup(lpn);
+        const MapEntry e = map_.lookup(lpn);
         if (!e.mapped()) {
             if (run_len == 0)
                 run_start = lpn;
@@ -393,7 +393,7 @@ Ftl::installGroup(std::uint32_t pool,
     auto &bp = array_.plane(plane).pool(pool);
     flash::Ppn ppn = bp.allocatePage();
     for (flash::Lpn lpn : lpns) {
-        const MapEntry &old = map_.lookup(lpn);
+        const MapEntry old = map_.lookup(lpn);
         if (old.mapped()) {
             array_.plane(static_cast<std::uint32_t>(old.planeLinear))
                 .pool(old.pool)
@@ -418,7 +418,7 @@ Ftl::trim(flash::Lpn start, std::uint32_t n)
 {
     for (std::uint32_t i = 0; i < n; ++i) {
         flash::Lpn lpn = start + i;
-        const MapEntry &e = map_.lookup(lpn);
+        const MapEntry e = map_.lookup(lpn);
         if (e.mapped()) {
             array_.plane(static_cast<std::uint32_t>(e.planeLinear))
                 .pool(e.pool)

@@ -114,7 +114,7 @@ GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
         flash::Ppn dst = copybackProgramChecked(bp, base, ppb, t);
         for (std::uint32_t u = 0; u < upp && i < live.size(); ++u, ++i) {
             const LiveUnit &lu = live[i];
-            const MapEntry &cur = map_.lookup(lu.lpn);
+            const MapEntry cur = map_.lookup(lu.lpn);
             EMMCSIM_ASSERT(
                 cur.mapped() &&
                     cur.planeLinear ==

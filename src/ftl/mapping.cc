@@ -1,83 +1,100 @@
 #include "ftl/mapping.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace emmcsim::ftl {
 
-PageMap::PageMap(std::uint64_t logical_units)
+namespace {
+
+/** Slot encoding of @p e: planeLinear + 1, so unmapped is all-zero. */
+MapEntry
+encode(MapEntry e)
 {
-    entries_.assign(logical_units, MapEntry{});
+    ++e.planeLinear;
+    return e;
 }
 
-void
-PageMap::checkRange(flash::Lpn lpn) const
+MapEntry
+decode(MapEntry e)
+{
+    --e.planeLinear;
+    return e;
+}
+
+} // namespace
+
+PageMap::PageMap(std::uint64_t logical_units) : entries_(logical_units) {}
+
+std::size_t
+PageMap::slot(flash::Lpn lpn) const
 {
     EMMCSIM_ASSERT(lpn.value() >= 0 &&
                        static_cast<std::uint64_t>(lpn.value()) <
                            entries_.size(),
                    "lpn out of logical range");
+    return static_cast<std::size_t>(lpn.value());
 }
 
 bool
 PageMap::mapped(flash::Lpn lpn) const
 {
-    checkRange(lpn);
-    return entries_[static_cast<std::size_t>(lpn.value())].mapped();
+    return entries_[slot(lpn)].planeLinear != 0;
 }
 
-const MapEntry &
+MapEntry
 PageMap::lookup(flash::Lpn lpn) const
 {
-    checkRange(lpn);
-    return entries_[static_cast<std::size_t>(lpn.value())];
+    return decode(entries_[slot(lpn)]);
 }
 
 void
 PageMap::set(flash::Lpn lpn, const MapEntry &e)
 {
-    checkRange(lpn);
+    const std::size_t i = slot(lpn);
     EMMCSIM_ASSERT(e.mapped(), "setting unmapped entry; use clear()");
-    auto &slot = entries_[static_cast<std::size_t>(lpn.value())];
-    if (!slot.mapped())
+    if (entries_[i].planeLinear == 0)
         ++mappedCount_;
-    slot = e;
+    entries_[i] = encode(e);
 }
 
 void
 PageMap::clear(flash::Lpn lpn)
 {
-    checkRange(lpn);
-    auto &slot = entries_[static_cast<std::size_t>(lpn.value())];
-    if (slot.mapped()) {
+    const std::size_t i = slot(lpn);
+    if (entries_[i].planeLinear != 0) {
         --mappedCount_;
-        slot = MapEntry{};
+        entries_.zero(i, 1);
     }
 }
 
 void
 PageMap::reset()
 {
-    std::fill(entries_.begin(), entries_.end(), MapEntry{});
+    entries_.clear();
     mappedCount_ = 0;
 }
 
 void
 PageMap::save(core::BinWriter &w) const
 {
-    w.podVec(entries_);
+    // Snapshot layout v1: the dense table with planeLinear = -1 for
+    // unmapped entries.
+    w.podVecOf<MapEntry>(entries_.size(), [this](std::size_t i) {
+        return decode(entries_[i]);
+    });
     w.u64(mappedCount_);
 }
 
 void
 PageMap::load(core::BinReader &r)
 {
-    const std::uint64_t logical = entries_.size();
-    r.podVec(entries_);
+    entries_.clear();
+    r.podVecInto<MapEntry>(entries_.size(),
+                           [this](std::size_t i, const MapEntry &e) {
+                               if (e.mapped())
+                                   entries_[i] = encode(e);
+                           });
     mappedCount_ = r.u64();
-    if (entries_.size() != logical)
-        r.fail();
 }
 
 } // namespace emmcsim::ftl

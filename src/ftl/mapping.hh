@@ -13,8 +13,8 @@
 #define EMMCSIM_FTL_MAPPING_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "core/zero_array.hh"
 #include "flash/pool.hh"
 
 namespace emmcsim::ftl {
@@ -31,7 +31,14 @@ struct MapEntry
     bool operator==(const MapEntry &o) const = default;
 };
 
-/** Flat LPN -> MapEntry table. */
+/**
+ * Flat LPN -> MapEntry table on zero pages (core/zero_array.hh).
+ *
+ * Each slot stores its entry with planeLinear + 1, so an all-zero slot
+ * is exactly MapEntry{} (unmapped) and a fresh map touches no memory.
+ * The encoding stays inside this class: lookup() and the snapshot
+ * image see plain MapEntry values.
+ */
 class PageMap
 {
   public:
@@ -45,7 +52,7 @@ class PageMap
     bool mapped(flash::Lpn lpn) const;
 
     /** Current location of @p lpn (entry.mapped() may be false). */
-    const MapEntry &lookup(flash::Lpn lpn) const;
+    MapEntry lookup(flash::Lpn lpn) const;
 
     /** Point @p lpn at a new physical location. */
     void set(flash::Lpn lpn, const MapEntry &e);
@@ -59,7 +66,8 @@ class PageMap
     /**
      * Drop every mapping. Power-fail recovery rebuilds the table from
      * scratch out of the flash OOB scan (DESIGN.md §13); the pre-crash
-     * RAM copy is exactly what did not survive.
+     * RAM copy is exactly what did not survive. The table's pages go
+     * back to the kernel rather than being filled.
      */
     void reset();
 
@@ -69,9 +77,11 @@ class PageMap
     /** @} */
 
   private:
-    void checkRange(flash::Lpn lpn) const;
+    /** Slot index of @p lpn; asserts it is in range. */
+    std::size_t slot(flash::Lpn lpn) const;
 
-    std::vector<MapEntry> entries_;
+    /** Entries with planeLinear shifted by one (0 = unmapped). */
+    core::ZeroArray<MapEntry> entries_;
     std::uint64_t mappedCount_ = 0;
 };
 

@@ -17,8 +17,7 @@
  * and write a fresh checkpoint.
  */
 
-#include <vector>
-
+#include "core/zero_array.hh"
 #include "ftl/ftl.hh"
 #include "sim/logging.hh"
 
@@ -59,6 +58,8 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
 
     // 4. Rebuild the mapping from the OOB stamps. RAM validity state
     // is gone; collect the highest-seq copy of every logical unit.
+    // The table sits on zero pages (seq 0 = no copy seen), so a cut on
+    // a lightly written device touches only the units it wrote.
     struct Winner
     {
         std::uint64_t seq = 0;
@@ -67,7 +68,7 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         std::uint16_t unit = 0;
         flash::Ppn ppn{0};
     };
-    std::vector<Winner> winners(map_.logicalUnits());
+    core::ZeroArray<Winner> winners(map_.logicalUnits());
 
     journal_.resetMapForRecovery();
     for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
 #include <memory>
 
 #include "core/hps.hh"
+#include "core/scheme.hh"
 #include "emmc/device.hh"
 #include "sim/simulator.hh"
 
@@ -69,6 +74,18 @@ runRequests(sim::Simulator &s, EmmcDevice &dev,
         s.schedule(r.arrival, [&dev, r] { dev.submit(r); });
     s.run();
     return done;
+}
+
+/** Resident bytes of this process (/proc/self/statm); -1 if unknown. */
+std::int64_t
+residentBytes()
+{
+    std::ifstream in("/proc/self/statm");
+    std::int64_t size = 0;
+    std::int64_t resident = -1;
+    if (!(in >> size >> resident))
+        return -1;
+    return resident * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
 }
 
 } // namespace
@@ -403,4 +420,38 @@ TEST(EmmcDevice, SlcPoolHasHalfThePages)
     EmmcConfig cfg = makeHpsSlcConfig();
     EXPECT_EQ(cfg.geometry.poolPagesPerBlock(kHps4kPool),
               cfg.geometry.poolPagesPerBlock(kHps8kPool) / 2);
+}
+
+TEST(EmmcDeviceFootprint, MemoryFollowsTouchedData)
+{
+    // The HPS device's map and pool tables span about 256 MB of
+    // capacity-sized state, all on zero pages (DESIGN.md §17).
+    // Building one must fault in almost none of it.
+    constexpr std::int64_t kMiB = 1 << 20;
+    const std::int64_t before = residentBytes();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/statm unavailable";
+
+    sim::Simulator s;
+    auto dev = core::makeDevice(s, core::SchemeKind::HPS);
+    const std::int64_t built = residentBytes();
+    EXPECT_LT(built - before, 16 * kMiB);
+
+    // 256 16KB writes spread evenly over the logical range, then a
+    // power cut. Each write touches its own page of the map and of
+    // recovery's winner table, about 2 MB in all. Refilling any
+    // whole table instead (the map or winner table on reset, even the
+    // 6 MB valid-bit table in beginRecoveryScan) breaks the bound.
+    const std::uint64_t units = dev->ftl().logicalUnits();
+    std::vector<IoRequest> reqs;
+    for (std::uint64_t i = 0; i < 256; ++i)
+        reqs.push_back(makeReq(i,
+                               sim::milliseconds(2) *
+                                   static_cast<sim::Time>(i),
+                               (units - 4) / 256 * i, 4, true));
+    ASSERT_EQ(runRequests(s, *dev, reqs).size(), reqs.size());
+    const ftl::RecoveryReport rep =
+        dev->ftl().powerFailAndRecover(s.now());
+    EXPECT_EQ(rep.recoveredUnits, 256u * 4u);
+    EXPECT_LT(residentBytes() - built, 4 * kMiB);
 }

@@ -21,7 +21,6 @@ void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     const auto n = static_cast<std::uint64_t>(state.range(0));
-    std::size_t high_water = 0;
     for (auto _ : state) {
         sim::Simulator s;
         std::uint64_t sink = 0;
@@ -30,83 +29,11 @@ BM_EventQueueScheduleRun(benchmark::State &state)
                        [&sink] { ++sink; });
         s.run();
         benchmark::DoNotOptimize(sink);
-        high_water = s.events().arenaHighWater();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(n) *
                             state.iterations());
-    state.counters["arena_high_water"] =
-        static_cast<double>(high_water);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 10)->Arg(1 << 14);
-
-void
-BM_EventArenaSteadyState(benchmark::State &state)
-{
-    // Slot-recycling steady state: one long-lived queue, repeatedly
-    // filled and drained. The arena must stay at one batch of slots
-    // (peak live), and the schedule/pop cycle must not allocate.
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    sim::EventQueue q;
-    std::uint64_t sink = 0;
-    sim::Time base = 0;
-
-    auto fill_drain = [&] {
-        for (std::uint64_t i = 0; i < n; ++i)
-            q.schedule(base + static_cast<sim::Time>(i),
-                       [&sink] { ++sink; });
-        sim::Time t;
-        sim::EventAction a;
-        while (q.pop(t, a))
-            a();
-        base += static_cast<sim::Time>(n);
-    };
-
-    fill_drain(); // warm the arena / heap storage
-    for (auto _ : state)
-        fill_drain();
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                            state.iterations());
-    state.counters["arena_slots"] =
-        static_cast<double>(q.arenaSlots());
-    state.counters["arena_high_water"] =
-        static_cast<double>(q.arenaHighWater());
-    state.counters["lifetime_events"] =
-        static_cast<double>(q.scheduledCount());
-}
-BENCHMARK(BM_EventArenaSteadyState)->Arg(1 << 10)->Arg(1 << 14);
-
-void
-BM_EventQueueCancelChurn(benchmark::State &state)
-{
-    // Timer/retry-heavy workloads cancel most of what they schedule;
-    // this exercises lazy delete plus wholesale heap compaction.
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    sim::EventQueue q;
-    std::vector<sim::EventId> ids(n);
-    sim::Time base = 0;
-
-    for (auto _ : state) {
-        for (std::uint64_t i = 0; i < n; ++i)
-            ids[i] = q.schedule(base + static_cast<sim::Time>(i), [] {});
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (i % 4 != 0)
-                q.cancel(ids[i]);
-        }
-        sim::Time t;
-        sim::EventAction a;
-        while (q.pop(t, a))
-            a();
-        base += static_cast<sim::Time>(n);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                            state.iterations());
-    state.counters["heap_compactions"] =
-        static_cast<double>(q.heapCompactions());
-    state.counters["arena_slots"] =
-        static_cast<double>(q.arenaSlots());
-}
-BENCHMARK(BM_EventQueueCancelChurn)->Arg(1 << 12);
 
 void
 BM_TraceGeneration(benchmark::State &state)

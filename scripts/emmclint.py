@@ -13,10 +13,9 @@ clang-tidy check for us:
                        / multimap / set / multiset / list /
                        forward_list / deque / priority_queue /
                        unordered_*) in src/sim.  The event queue is
-                       flat vectors (slot arena, freelist, 4-ary
-                       heap) precisely to avoid per-node allocation
-                       and pointer chasing; a node-based container
-                       smuggles both back in.
+                       one binary heap in a flat vector precisely to
+                       avoid per-node allocation and pointer chasing;
+                       a node-based container smuggles both back in.
   unordered-iter       No iteration over std::unordered_map/set.
                        Hash-table iteration order is unspecified, and
                        anything it feeds (reports, traces, flash ops)
@@ -172,8 +171,8 @@ ALLOC_PATTERNS = [
     (re.compile(r"\bstd::function\b"), "std::function"),
 ]
 
-# The event core is flat vectors by design (slot arena + freelist +
-# 4-ary heap over contiguous storage, DESIGN.md §11). Node-based and
+# The event core is flat storage by design (one binary heap in a
+# contiguous vector, DESIGN.md §11). Node-based and
 # adapter containers reintroduce the per-event allocation and
 # pointer-chasing the flat layout exists to avoid; std::deque is
 # included because its chunk map scatters what a vector keeps
@@ -252,9 +251,9 @@ def lint_text(path: str, raw: str, scope_event_path: bool,
             if m:
                 add("event-path-container", lineno,
                     f"std::{m.group(1)} in the simulator event path: "
-                    f"the event core is flat storage (slot arena, "
-                    f"freelist, 4-ary heap); use a vector-backed "
-                    f"structure instead")
+                    f"the event core is flat storage (one binary heap "
+                    f"in a vector); use a vector-backed structure "
+                    f"instead")
 
     # wall-clock -----------------------------------------------------------
     for lineno, line in enumerate(code_lines, 1):

@@ -18,10 +18,8 @@
 # the first binary's context block).
 #
 # The JSON carries, per benchmark:
-#   - items_per_second   events/sec through the event core
-#   - arena_high_water   peak live events (peak-RSS proxy: the arena's
-#                        memory footprint tracks this, not lifetime
-#                        events)
+#   - items_per_second   events/sec through the event core, trace
+#                        generation and replay
 #   - sim_recovery_ms / scanned_pages / image_bytes for the recovery
 #     and snapshot benches
 #

@@ -250,26 +250,6 @@ checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx)
                   q.scheduledCount(),
               "executed events + pending events exceed the "
               "ever-scheduled count");
-
-    // Generation-ledger arena accounting: every slot is live, free,
-    // or the one currently firing (audits may run inside an action);
-    // the high-water mark bounds the arena, and the arena is bounded
-    // by peak-live events (slot recycling), not lifetime events.
-    ctx.check(q.size() + q.freeSlots() + q.inFlightSlots() ==
-                  q.arenaSlots(),
-              "event arena: live + free slots do not cover the arena");
-    ctx.check(q.arenaHighWater() <= q.arenaSlots(),
-              "event arena: high-water mark exceeds the arena");
-    ctx.check(q.arenaSlots() <= q.scheduledCount(),
-              "event arena: more slots than events ever scheduled");
-
-    // Heap coverage: every live event holds exactly one heap entry,
-    // and the only extra entries are the lazily deleted dead ones.
-    // (auditInvariants walks the heap entry by entry; this is the
-    // cheap closed-form cross-check over the public counters.)
-    ctx.check(q.heapEntries() == q.size() + q.deadHeapEntries(),
-              "event queue: heap entries do not cover live + dead "
-              "entries");
 }
 
 void

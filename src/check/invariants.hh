@@ -122,10 +122,11 @@ void checkArrayAccounting(const flash::FlashArray &array,
                           CheckContext &ctx);
 
 /**
- * Event-queue integrity: time monotonicity (nothing pending may fire
- * before the last popped event, the clock never passes the next
- * pending event), live-count conservation against the issued-id
- * ledger, and no stale handles (retired events holding actions).
+ * Event-queue integrity: EventQueue::auditInvariants (heap order,
+ * issued sequence numbers, armed entries, nothing pending before the
+ * last pop), the clock never passing the next pending event, and
+ * executed + pending events reconciled against the events ever
+ * scheduled plus the arrivals fired.
  */
 void checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx);
 

@@ -42,14 +42,16 @@ applyOptions(emmc::EmmcConfig cfg, const ExperimentOptions &opts)
 
 namespace {
 
+/** Seed of prefillDevice's random overwrites. */
+constexpr std::uint64_t kPrefillSeed = 42;
+
 /**
  * State-only pre-aging: write the first @p fraction of the logical
  * space once sequentially and then re-write a random quarter of it,
  * so blocks contain a realistic mix of valid and stale units.
  */
 void
-prefillDevice(emmc::EmmcDevice &device, double fraction,
-              std::uint64_t seed)
+prefillDevice(emmc::EmmcDevice &device, double fraction)
 {
     if (fraction <= 0.0)
         return;
@@ -76,7 +78,7 @@ prefillDevice(emmc::EmmcDevice &device, double fraction,
     }
 
     // Random overwrites create stale units for GC to reclaim.
-    sim::Rng rng(seed);
+    sim::Rng rng(kPrefillSeed);
     const std::uint64_t rewrites = limit / 4 / kChunkUnits;
     for (std::uint64_t i = 0; i < rewrites; ++i) {
         install(static_cast<std::uint64_t>(rng.uniformInt(
@@ -242,7 +244,7 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
         if (!header.ok() || header.remaining() != 0)
             sim::fatal("corrupt case snapshot header");
     } else {
-        prefillDevice(*device, opts.prefill, opts.prefillSeed);
+        prefillDevice(*device, opts.prefill);
         if (opts.prefill > 0.0) {
             // Start the replay from a durable baseline so recovery
             // cost reflects replay-time dirt, not the aging pattern.

@@ -51,11 +51,10 @@ struct ExperimentOptions
     /**
      * Pre-fill fraction of the logical space before the replay, to
      * age the device so garbage collection actually fires (the
-     * Fig 8/9 runs use 0: a brand-new device, as in the paper).
+     * Fig 8/9 runs use 0: a brand-new device, as in the paper). The
+     * aging pattern is fixed (seed 42), so aged runs are repeatable.
      */
     double prefill = 0.0;
-    /** Seed for the pre-fill pattern. */
-    std::uint64_t prefillSeed = 42;
     /**
      * Scale factor applied to blocks-per-plane (1.0 keeps the 32GB
      * Table V device). Shrinking the device makes GC experiments

@@ -139,7 +139,7 @@ EmmcDevice::startNext()
     stats_.busyTime += done - service_start;
 
     // Completion closure: {this, vector} = 32 bytes, comfortably
-    // inside the event arena's inline budget (no per-event heap
+    // inside InlineAction's inline budget (no per-event heap
     // allocation on the command path).
     auto fire = [this, cmd = std::move(cmd)]() mutable {
         finishCommand(std::move(cmd));

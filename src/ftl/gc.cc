@@ -293,26 +293,6 @@ GarbageCollector::findNeedyPool(double min_invalid,
 }
 
 sim::Time
-GarbageCollector::idleRound(sim::Time earliest, bool &did_work)
-{
-    did_work = false;
-    std::uint32_t plane = 0;
-    std::uint32_t pool = 0;
-    if (!findNeedyPool(cfg_.idleMinInvalidFraction, plane, pool))
-        return earliest;
-
-    sim::Time done = collectOne(plane, pool, earliest);
-    stats_.idleTime += done - earliest;
-    ++stats_.idleRounds;
-    did_work = true;
-    EMMCSIM_LOG_DEBUG("gc", "idle GC round on plane " +
-                                std::to_string(plane) + " pool " +
-                                std::to_string(pool) + ", " +
-                                std::to_string(done - earliest) + " ns");
-    return done;
-}
-
-sim::Time
 GarbageCollector::relocateSome(std::uint32_t plane_linear,
                                std::uint32_t pool, flash::BlockId victim,
                                std::uint32_t max_pages,

@@ -5,9 +5,10 @@
  * Two triggers exist, mirroring the paper's Implication 2:
  *  - blocking GC: the write path calls ensureFreePage() and pays the
  *    reclamation latency inline, like a conventional SSD FTL;
- *  - idle GC: the eMMC controller calls idleRound() during request
+ *  - idle GC: the eMMC controller calls idleStep() during request
  *    gaps (smartphone inter-arrival times are frequently longer than a
- *    full GC round), hiding reclamation from the user.
+ *    full GC round), hiding reclamation from the user in preemptible
+ *    steps of a few pages.
  */
 
 #ifndef EMMCSIM_FTL_GC_HH
@@ -64,6 +65,7 @@ struct GcConfig
 struct GcStats
 {
     std::uint64_t blockingRounds = 0;
+    /** Always 0 (idle GC runs in steps); kept for snapshot layout v1. */
     std::uint64_t idleRounds = 0;
     std::uint64_t idleSteps = 0;
     std::uint64_t relocatedUnits = 0;
@@ -104,17 +106,6 @@ class GarbageCollector
      */
     sim::Time ensureFreePage(std::uint32_t plane_linear,
                              std::uint32_t pool, sim::Time earliest);
-
-    /**
-     * Run one idle GC round on the neediest plane-pool below the soft
-     * threshold (a full block collection; used when preemption does
-     * not matter).
-     *
-     * @param earliest  Earliest start for the flash operations.
-     * @param did_work  Set true when a round actually ran.
-     * @return Completion time (== @p earliest when nothing ran).
-     */
-    sim::Time idleRound(sim::Time earliest, bool &did_work);
 
     /**
      * Run one *incremental* idle GC step: relocate up to

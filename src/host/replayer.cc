@@ -14,13 +14,16 @@ namespace {
 const char kSnapshotMagic[] = "emmcsim-snap";
 constexpr std::uint32_t kSnapshotVersion = 1;
 
+/** First retry delay; doubles per attempt (exponential backoff). */
+constexpr sim::Time kRetryBackoff = sim::milliseconds(1);
+
 /**
  * Fold a request's address into the device's logical space (traces
  * can address a larger region than one device exports).
  */
 void
 foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
-            bool wrap, std::uint64_t record_index)
+            std::uint64_t record_index)
 {
     const std::uint64_t units = req.sizeUnits();
     std::uint64_t unit = static_cast<std::uint64_t>(
@@ -35,13 +38,8 @@ foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
                    std::to_string(logical_units) +
                    "; use a larger device or a scaled-down trace");
     }
-    if (unit + units > logical_units) {
-        if (!wrap) {
-            sim::fatal("trace addresses device beyond its logical "
-                       "capacity; enable wrapAddresses");
-        }
+    if (unit + units > logical_units)
         unit = unit % (logical_units - units + 1);
-    }
     req.lbaSector = units::unitToLba(
         units::UnitAddr{static_cast<std::int64_t>(unit)});
 }
@@ -306,7 +304,7 @@ Replayer::fireNext()
     req.sizeBytes = r.sizeBytes;
     req.write = r.isWrite();
     req.lbaSector = r.lbaSector;
-    foldAddress(req, logicalUnits_, opts_->wrapAddresses, req.id);
+    foldAddress(req, logicalUnits_, req.id);
     track(req.id, req.arrival);
     submitNow(req);
     if (++chunkPos_ == chunkLen_)
@@ -337,7 +335,7 @@ Replayer::onCompletion(const emmc::CompletedRequest &c)
             // Resubmit with exponential backoff, like the block
             // layer requeueing a failed bio.
             const std::uint32_t shift = std::min(rs.attempts, 20u);
-            const sim::Time delay = opts_->retryBackoff << shift;
+            const sim::Time delay = kRetryBackoff << shift;
             ++rs.attempts;
             ++stats_.retriesScheduled;
             ++pendingRetries_;
@@ -351,7 +349,7 @@ Replayer::onCompletion(const emmc::CompletedRequest &c)
                               " at " + std::to_string(retry.arrival) +
                               " ns");
             // Retry closure: {this, IoRequest} = 48 bytes — exactly
-            // the event arena's inline budget. If IoRequest grows,
+            // InlineAction's inline budget. If IoRequest grows,
             // this assert fires before the hot path regresses to
             // heap-allocating events.
             auto resubmit = [this, retry] {

@@ -53,18 +53,12 @@ namespace emmcsim::host {
 struct ReplayOptions
 {
     /**
-     * Fold request addresses into the device's logical space (traces
-     * can address a larger region than one device exports).
-     */
-    bool wrapAddresses = true;
-    /**
      * Bounded retry on device-reported errors (uncorrectable reads,
      * rejected writes), mirroring the block layer's requeue policy.
-     * 0 disables resubmission.
+     * Retries back off exponentially from 1 ms. 0 disables
+     * resubmission.
      */
     std::uint32_t maxRetries = 3;
-    /** First retry delay; doubles per attempt (exponential backoff). */
-    sim::Time retryBackoff = sim::milliseconds(1);
 
     /**
      * Sudden-power-off schedule; empty ticks disable injection.

@@ -4,9 +4,7 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "emmc/device.hh"
 #include "obs/json.hh"
-#include "sim/logging.hh"
 
 namespace emmcsim::obs {
 
@@ -58,38 +56,6 @@ toMicros(sim::Time t)
 }
 
 } // namespace
-
-RequestTracer::~RequestTracer()
-{
-    detach();
-}
-
-void
-RequestTracer::attach(emmc::EmmcDevice &device)
-{
-    EMMCSIM_ASSERT(device_ == nullptr,
-                   "RequestTracer: already attached to a device");
-    device_ = &device;
-    device.setTraceHook(
-        [this](const emmc::CompletedRequest &c) { onRequest(c); });
-    flash::FlashArray &array = device.array();
-    const flash::Geometry &geom = array.geometry();
-    array.setOpHook([this, &geom](flash::OpKind kind,
-                                  const flash::PageAddr &addr,
-                                  const flash::OpResult &res) {
-        onFlashOp(kind, addr, res, flash::dieLinear(geom, addr));
-    });
-}
-
-void
-RequestTracer::detach()
-{
-    if (device_ == nullptr)
-        return;
-    device_->setTraceHook(nullptr);
-    device_->array().setOpHook(nullptr);
-    device_ = nullptr;
-}
 
 void
 RequestTracer::onRequest(const emmc::CompletedRequest &completed)

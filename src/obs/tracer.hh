@@ -5,11 +5,11 @@
  * timestamps, round-trippable through trace::Trace) or a Chrome
  * trace_event JSON file loadable in Perfetto / chrome://tracing.
  *
- * The tracer subscribes to two existing observation points — the
- * device's per-request trace hook and the flash array's per-operation
- * hook — so tracing adds no branches beyond the two null-checked
- * std::function calls those hooks already cost, and a run without a
- * tracer attached executes the exact pre-obs code path. This mirrors
+ * obs::DeviceObserver feeds the tracer from two existing observation
+ * points — the device's per-request trace hook and the flash array's
+ * per-operation hook — so tracing adds no branches beyond the two
+ * null-checked std::function calls those hooks already cost, and a
+ * run without tracing executes the exact pre-obs code path. This mirrors
  * the paper's BIOtracer, whose block-layer instrumentation perturbs
  * the traced workload by under ~2% (validated by
  * bench_biotracer_overhead).
@@ -39,36 +39,15 @@
 #include "flash/array.hh"
 #include "trace/trace.hh"
 
-namespace emmcsim::emmc {
-class EmmcDevice;
-}
-
 namespace emmcsim::obs {
 
 /** Records request and flash-operation spans from one device. */
 class RequestTracer
 {
   public:
-    RequestTracer() = default;
-
-    // The tracer installs hooks holding `this`.
-    RequestTracer(const RequestTracer &) = delete;
-    RequestTracer &operator=(const RequestTracer &) = delete;
-
-    ~RequestTracer();
-
-    /**
-     * Subscribe to @p device (its trace hook and its array's op hook).
-     * The device must outlive the tracer or be detached first; only
-     * one device at a time.
-     */
-    void attach(emmc::EmmcDevice &device);
-
-    /** Uninstall both hooks; recorded spans are kept. */
-    void detach();
-
-    /** @name Direct recording entry points (used by the hooks; exposed
-     * for tests that synthesize spans without a device). @{ */
+    /** @name Recording entry points (called from DeviceObserver's
+     * hooks; tests call them to synthesize spans without a device).
+     * @{ */
     void onRequest(const emmc::CompletedRequest &completed);
     void onFlashOp(flash::OpKind kind, const flash::PageAddr &addr,
                    const flash::OpResult &result,
@@ -128,7 +107,6 @@ class RequestTracer
         std::uint32_t retries = 0;
     };
 
-    emmc::EmmcDevice *device_ = nullptr;
     std::vector<RequestSpan> requests_;
     std::vector<FlashSpan> ops_;
 };

@@ -14,15 +14,14 @@
  *
  * Layout: the buffer plus a single pointer to a static ops vtable
  * (invoke/relocate/destroy), 56 bytes total. One pointer instead of
- * three keeps an event-arena slot (action + generation) at exactly 64
- * bytes — one cache line — which measurably matters at millions of
- * events per second. The same reasoning caps capture alignment at 8:
- * alignas(16) storage would pad the slot past a cache line, and no
- * event capture holds over-aligned state (pointers, ints, IoRequest).
+ * three keeps the event queue's heap entries (time, sequence number,
+ * action) small, and heap sifts move whole entries. Capture alignment
+ * is capped at 8 for the same reason: no event capture holds
+ * over-aligned state (pointers, ints, IoRequest).
  *
  * Size budget rationale: the largest production capture is the
  * replayer's retry closure, [this, IoRequest] = 8 + 40 = 48 bytes
- * (see DESIGN.md §11). Growing the budget grows every arena slot, so
+ * (see DESIGN.md §11). Growing the budget grows every heap entry, so
  * prefer shrinking captures over raising kInlineBytes.
  */
 
@@ -77,8 +76,8 @@ class InlineAction
     /**
      * Construct a callable directly in the inline buffer, destroying
      * any current occupant first. This is the event queue's schedule
-     * path: the capture is built in place inside the arena slot, so a
-     * schedule performs zero InlineAction moves.
+     * path: the capture is built in place inside the heap entry, so a
+     * schedule performs no InlineAction temporary.
      */
     template <typename F>
     void

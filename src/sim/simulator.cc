@@ -36,13 +36,15 @@ Simulator::step(Time deadline)
     } else {
         if (event == kTimeNever || event > deadline)
             return false;
-        // The event runs in place out of its arena slot; the clock
-        // advances in the pre-invoke callback, before the action
-        // observes now().
-        events_.dispatchNext([this](Time t) {
-            EMMCSIM_ASSERT(t >= now_, "event queue went backwards");
-            now_ = t;
-        });
+        // The action runs out of a local: it may schedule events,
+        // which can reallocate the queue's storage. The clock
+        // advances first, so the action observes its own time.
+        Time when = 0;
+        EventAction action;
+        events_.pop(when, action);
+        EMMCSIM_ASSERT(when >= now_, "event queue went backwards");
+        now_ = when;
+        action();
     }
     ++executed_;
     if (!hooks_.empty())

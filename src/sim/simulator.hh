@@ -37,7 +37,7 @@ class Simulator
     /**
      * Schedule an action at an absolute time (>= now()). Forwards the
      * raw callable to the event queue, which builds it in place
-     * inside an arena slot (no temporaries on the hot path).
+     * inside the new heap entry (no temporaries on the hot path).
      * @return Handle usable with cancel().
      */
     template <typename F>

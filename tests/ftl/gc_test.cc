@@ -218,9 +218,9 @@ TEST(GcVictimPolicy, CostBenefitPrefersOldBlocks)
     };
     set(pages[0], flash::Lpn{0}); // survives in old block A (block 0)
     set(pages[4], flash::Lpn{1}); // survives in young block B (block 1)
-    // Trigger one collection round via idleRound.
+    // One idle step drains the victim's single valid page and erases it.
     bool did = false;
-    gc.idleRound(0, did);
+    gc.idleStep(0, did);
     EXPECT_TRUE(did);
     // Block 0 (old) must have been erased; its survivor relocated.
     EXPECT_EQ(bp.writtenPages(flash::BlockId{0}), 0u);
@@ -260,9 +260,9 @@ TEST(GcVictimPolicy, GreedyPrefersEmptierBlock)
     set(pages[2], flash::Lpn{2});
     set(pages[4], flash::Lpn{3});
     bool did = false;
-    gc.idleRound(0, did);
+    gc.idleStep(0, did);
     EXPECT_TRUE(did);
-    // Greedy erases block 1 (fewest valid units).
+    // Greedy erases block 1 (fewest valid units) in one step.
     EXPECT_EQ(bp.writtenPages(flash::BlockId{1}), 0u);
     EXPECT_GT(bp.writtenPages(flash::BlockId{0}), 0u);
 }

@@ -3,7 +3,7 @@
  * Proof that streaming replay holds bounded memory: global operator
  * new/delete are replaced with implementations that track *live* heap
  * bytes, and a long replay must plateau once the chunk buffers, retry
- * ring, and event arena have warmed up — resident heap must not scale
+ * ring, and event queue have warmed up — resident heap must not scale
  * with trace length (that is the whole point of TraceSource: a
  * multi-GB capture replays without materializing a record vector).
  * Own binary for the same reason as sim_alloc_test: the replacement
@@ -194,7 +194,7 @@ TEST(StreamReplayAllocation, LiveHeapDoesNotScaleWithTraceLength)
     ASSERT_GE(marks.size(), 10u);
 
     // Chunks 0..5 may grow the heap: stream buffers, the retry ring,
-    // the event arena, and device scratch all reach steady size. From
+    // the event queue, and device scratch all reach steady size. From
     // chunk 6 on, live bytes must plateau — 64KB of slack tolerates
     // container doubling, nowhere near the >700KB a per-record term
     // would add across the remaining ~70k records.

@@ -89,10 +89,10 @@ TEST(EventCoreAllocation, SteadyStateScheduleRunIsHeapFree)
         base += kBatch;
     };
 
-    // Warm-up: grow the arena, freelist, and heap vector to capacity.
+    // Warm-up: grow the heap vector past the constructor's
+    // reservation to a full batch.
     fillDrain();
     fillDrain();
-    ASSERT_EQ(q.arenaSlots(), static_cast<std::size_t>(kBatch));
 
     const std::uint64_t before =
         g_heapAllocs.load(std::memory_order_relaxed);
@@ -105,10 +105,10 @@ TEST(EventCoreAllocation, SteadyStateScheduleRunIsHeapFree)
     EXPECT_EQ(sink, static_cast<std::uint64_t>(3 * kBatch));
 }
 
-TEST(EventCoreAllocation, FirstChunkIsHeapFreeFromConstruction)
+TEST(EventCoreAllocation, ReservedCapacityIsHeapFreeFromConstruction)
 {
-    // The constructor reserves one arena chunk with heap and freelist
-    // room for it, so up to 256 live events never allocate.
+    // The constructor reserves heap room for 256 events, so up to
+    // 256 live events never allocate.
     EventQueue q;
     std::uint64_t sink = 0;
     const std::uint64_t before =
@@ -122,7 +122,7 @@ TEST(EventCoreAllocation, FirstChunkIsHeapFreeFromConstruction)
     const std::uint64_t after =
         g_heapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "the first arena chunk allocated on the heap";
+        << "the constructor's reservation allocated on the heap";
     EXPECT_EQ(sink, 256u);
 }
 
@@ -154,7 +154,7 @@ TEST(EventCoreAllocation, SteadyStateCancelIsHeapFree)
     const std::uint64_t after =
         g_heapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "steady-state cancel/compact path allocated on the heap";
+        << "steady-state cancel path allocated on the heap";
 }
 
 /** Arrival cursor replaying a preallocated arrival list each round. */

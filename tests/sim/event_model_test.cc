@@ -159,8 +159,7 @@ TEST_P(QueueModelFuzz, PopOrderMatchesMultimapReference)
             ++cancelled;
         } else if (r < 72 && !deadIds.empty()) {
             // Stale cancel: fired or already-cancelled ids must be
-            // rejected by the generation check, even after the slot
-            // has been recycled for a new event.
+            // rejected, even with newer events pending.
             EXPECT_FALSE(s.cancel(
                 deadIds[std::uniform_int_distribution<std::size_t>(
                     0, deadIds.size() - 1)(rng)]));
@@ -201,8 +200,8 @@ TEST_P(QueueModelFuzz, StaleCancelIsRejectedAfterFire)
         EventAction a;
         while (q.pop(t, a))
             a();
-        // Every id fired; slots were recycled. The generation tag
-        // must reject all of them even if the slot is live again.
+        // Every id fired. Handles are never reused, so all of them
+        // must be rejected while newer events are pending.
         for (int i = 0; i < 32; ++i)
             q.schedule(q.lastPopTime() + off(rng), [] {});
         for (const EventId &id : ids)

@@ -9,7 +9,9 @@
  *     re-erase + checkpoint write)
  *   - scanned_pages / journal_pages_read for the cost breakdown
  * plus the save/load throughput and image size of a full device
- * snapshot. Runs with the micro suite into BENCH_simcore.json.
+ * snapshot, and one case-level snapshot round trip (runCase with
+ * snapshotAt, then resumeCase), which also sees the copies a case
+ * image costs. Runs with the micro suite into BENCH_simcore.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include <memory>
 
 #include "core/binio.hh"
+#include "core/experiment.hh"
 #include "emmc/device.hh"
 #include "ftl/ftl.hh"
 #include "host/replayer.hh"
@@ -88,6 +91,18 @@ BENCHMARK(BM_FtlPowerFailRecover)
     ->Arg(1 << 15)
     ->Unit(benchmark::kMillisecond);
 
+/** The fixed write stream every snapshot benchmark replays. */
+trace::Trace
+fixedStream()
+{
+    workload::FixedStreamSpec spec;
+    spec.write = true;
+    spec.sizeBytes = sim::kib(16);
+    spec.count = 2000;
+    spec.gap = sim::microseconds(500);
+    return workload::makeFixedStream(spec);
+}
+
 /** One replayed device at a quiescent point, ready to snapshot. */
 std::unique_ptr<emmc::EmmcDevice>
 replayedDevice(sim::Simulator &s)
@@ -99,13 +114,8 @@ replayedDevice(sim::Simulator &s)
     auto dev = std::make_unique<emmc::EmmcDevice>(
         s, cfg, std::make_unique<ftl::SinglePoolDistributor>(0, 1,
                                                              "4PS"));
-    workload::FixedStreamSpec spec;
-    spec.write = true;
-    spec.sizeBytes = sim::kib(16);
-    spec.count = 2000;
-    spec.gap = sim::microseconds(500);
     host::Replayer rep(s, *dev);
-    rep.replay(workload::makeFixedStream(spec));
+    rep.replay(fixedStream());
     return dev;
 }
 
@@ -159,6 +169,40 @@ BM_DeviceSnapshotLoad(benchmark::State &state)
         static_cast<std::int64_t>(image.size()) * state.iterations());
 }
 BENCHMARK(BM_DeviceSnapshotLoad)->Unit(benchmark::kMillisecond);
+
+/**
+ * runCase with snapshotAt, then resumeCase, on an HPS device of
+ * 1/range(0) the full capacity. At 1/4 the ~48 MB image is past
+ * glibc's 32 MB cap on its dynamic mmap threshold, so every image
+ * block is a fresh mapping, as with full-size images; at 1/64 the
+ * ~5 MB image is served from the heap and the allocator's trim
+ * heuristic decides how many pages fault in again per iteration.
+ */
+void
+BM_CaseSnapshotRoundTrip(benchmark::State &state)
+{
+    const trace::Trace t = fixedStream();
+    core::ExperimentOptions opts;
+    opts.capacityScale = 1.0 / static_cast<double>(state.range(0));
+    core::ExperimentOptions snap_opts = opts;
+    snap_opts.snapshotAt = t.duration() / 2;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const core::CaseResult whole =
+            core::runCase(t, core::SchemeKind::HPS, snap_opts);
+        const core::CaseResult resumed = core::resumeCase(
+            t, core::SchemeKind::HPS, whole.snapshotImage, opts);
+        bytes = whole.snapshotImage.size();
+        benchmark::DoNotOptimize(resumed.requests);
+    }
+    state.counters["image_bytes"] = static_cast<double>(bytes);
+    state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                            state.iterations());
+}
+BENCHMARK(BM_CaseSnapshotRoundTrip)
+    ->Arg(64)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

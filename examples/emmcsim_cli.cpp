@@ -349,7 +349,8 @@ cmdReplay(const std::string &path, const std::string &scheme,
                           << "\n";
                 return 1;
             }
-            res = core::resumeCase(t, kind, buf.str(), opts);
+            // Resumed from a view of the stream's buffer: one image.
+            res = core::resumeCase(t, kind, buf.view(), opts);
         } else {
             res = core::runCase(t, kind, opts);
         }

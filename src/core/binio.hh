@@ -123,6 +123,27 @@ class BinWriter
         buf_.append(s.data(), s.size());
     }
 
+    /**
+     * Open a str() written in place: reserve its u64 length and
+     * return the slot for endStr(). The bytes written in between are
+     * the string, so a nested image needs no second buffer.
+     */
+    std::size_t
+    beginStr()
+    {
+        const std::size_t slot = buf_.size();
+        u64(0);
+        return slot;
+    }
+
+    /** Close the str() opened at @p slot: patch in its length. */
+    void
+    endStr(std::size_t slot)
+    {
+        const std::uint64_t n = buf_.size() - slot - sizeof n;
+        std::memcpy(buf_.data() + slot, &n, sizeof n);
+    }
+
     /** One trivially-copyable value, raw. */
     template <typename T>
     void
@@ -312,15 +333,21 @@ class BinReader
         return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
     }
 
-    std::string
-    str()
+    std::string str() { return std::string(strView()); }
+
+    /**
+     * A str() as a view into the image, which must outlive it: a
+     * nested image is read in place instead of copied out.
+     */
+    std::string_view
+    strView()
     {
         std::uint64_t n = u64();
         if (n > remaining()) {
             ok_ = false;
             return {};
         }
-        std::string s(buf_.substr(pos_, n));
+        const std::string_view s = buf_.substr(pos_, n);
         pos_ += n;
         return s;
     }

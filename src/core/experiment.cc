@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -207,7 +208,7 @@ collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
 struct CaseInput
 {
     const trace::Trace *trace = nullptr;
-    const std::string *image = nullptr;
+    std::optional<std::string_view> image = std::nullopt;
     trace::TraceSource *source = nullptr;
 };
 
@@ -216,7 +217,7 @@ CaseResult
 runCaseBody(const CaseInput &in, SchemeKind kind,
             const ExperimentOptions &opts)
 {
-    if (in.image != nullptr &&
+    if (in.image &&
         (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)) {
         sim::fatal("resumeCase cannot inject SPO or re-snapshot");
     }
@@ -230,8 +231,8 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
     auto device = makeDevice(simulator, kind, cfg);
 
     ftl::FtlStats before;
-    std::string inner;
-    if (in.image != nullptr) {
+    std::string_view inner;
+    if (in.image) {
         // Resume: the device state (including any prefill) lives in
         // the image; re-aging it here would double the history.
         BinReader header(*in.image);
@@ -240,7 +241,7 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
             sim::fatal("not an emmcsim case snapshot");
         }
         header.pod(before);
-        inner = header.str();
+        inner = header.strView();
         if (!header.ok() || header.remaining() != 0)
             sim::fatal("corrupt case snapshot header");
     } else {
@@ -278,6 +279,18 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
     replay_opts.maxRetries = opts.hostMaxRetries;
     replay_opts.spo = opts.spo;
     replay_opts.snapshotAt = opts.snapshotAt;
+    // The case wrapper's header is known before the replay; the
+    // replayer writes its image behind it, in place, as the wrapper's
+    // length-prefixed inner string.
+    BinWriter image;
+    std::size_t inner_slot = 0;
+    if (opts.snapshotAt >= 0) {
+        image.str(kCaseMagic);
+        image.u32(kCaseVersion);
+        image.pod(before);
+        inner_slot = image.beginStr();
+        replay_opts.snapshotOut = &image;
+    }
 
     CaseResult res;
     res.scheme = schemeName(kind);
@@ -289,7 +302,7 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
         // timestamps); res.replayed stays empty by design.
         res.p99ResponseMs = sres.responseHistMs.percentileEstimate(99.0);
     } else {
-        res.replayed = in.image != nullptr
+        res.replayed = in.image
                            ? replayer.resume(*in.trace, inner, replay_opts)
                            : replayer.replay(*in.trace, replay_opts);
         res.traceName = in.trace->name();
@@ -301,13 +314,11 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
     }
     collectDeviceColumns(res, *device, replayer, before);
 
-    if (replayer.snapshotTaken()) {
-        BinWriter w;
-        w.str(kCaseMagic);
-        w.u32(kCaseVersion);
-        w.pod(before);
-        w.str(replayer.snapshotImage());
-        res.snapshotImage = w.take();
+    if (opts.snapshotAt >= 0) {
+        // replay() dies if it reached no quiescent point, so the inner
+        // image is complete here.
+        image.endStr(inner_slot);
+        res.snapshotImage = image.take();
     }
 
     collectObsArtifacts(res, observer.get(), opts.obs, res.traceName);
@@ -337,9 +348,9 @@ runCaseStream(trace::TraceSource &src, SchemeKind kind,
 
 CaseResult
 resumeCase(const trace::Trace &t, SchemeKind kind,
-           const std::string &image, const ExperimentOptions &opts)
+           std::string_view image, const ExperimentOptions &opts)
 {
-    return runCaseBody({.trace = &t, .image = &image}, kind, opts);
+    return runCaseBody({.trace = &t, .image = image}, kind, opts);
 }
 
 } // namespace emmcsim::core

@@ -9,6 +9,7 @@
 #define EMMCSIM_CORE_EXPERIMENT_HH
 
 #include <string>
+#include <string_view>
 
 #include "check/audit.hh"
 #include "core/scheme.hh"
@@ -208,10 +209,10 @@ CaseResult runCaseStream(trace::TraceSource &src, SchemeKind kind,
  * scheme + options; mismatched geometry fails the image load), except
  * spo / snapshotAt which must be unset (sim::fatal otherwise). The
  * returned CaseResult is byte-for-byte the one the uninterrupted run
- * produces.
+ * produces. @p image is read in place, never copied.
  */
 CaseResult resumeCase(const trace::Trace &t, SchemeKind kind,
-                      const std::string &image,
+                      std::string_view image,
                       const ExperimentOptions &opts = {});
 
 /** Apply @p opts to a scheme configuration. */

@@ -112,17 +112,17 @@ Replayer::Replayer(sim::Simulator &simulator, emmc::EmmcDevice &device)
 trace::Trace
 Replayer::replay(const trace::Trace &input, const ReplayOptions &opts)
 {
-    return run(input, opts, nullptr);
+    return run(input, opts, std::nullopt);
 }
 
 trace::Trace
-Replayer::resume(const trace::Trace &input, const std::string &image,
+Replayer::resume(const trace::Trace &input, std::string_view image,
                  const ReplayOptions &opts)
 {
     if (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)
         sim::fatal("resume: SPO injection and re-snapshotting are not "
                    "supported on a resumed replay");
-    return run(input, opts, &image);
+    return run(input, opts, image);
 }
 
 StreamReplayResult
@@ -155,14 +155,15 @@ Replayer::begin(const ReplayOptions &opts)
     parked_.clear();
     pendingRetries_ = 0;
     nextArrival_ = 0;
+    if (opts.snapshotAt >= 0 && opts.snapshotOut == nullptr)
+        sim::fatal("replay: snapshotAt needs a snapshotOut writer");
     snapshotAt_ = opts.snapshotAt;
     snapshotDone_ = false;
-    snapshotImage_.clear();
 }
 
 trace::Trace
 Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
-              const std::string *image)
+              std::optional<std::string_view> image)
 {
     // Validate before replaying anything: a malformed trace (arrivals
     // out of order, zero-sized or misaligned requests) would fail deep
@@ -203,7 +204,7 @@ Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
 }
 
 void
-Replayer::restore(const std::string &image, trace::Trace &out)
+Replayer::restore(std::string_view image, trace::Trace &out)
 {
     if (sim_.pending() || sim_.now() != 0)
         sim::fatal("resume: needs a fresh simulator");
@@ -484,7 +485,8 @@ Replayer::maybeCapture(const trace::Trace &out)
         device_.poweredOff() || pendingRetries_ > 0 || !parked_.empty())
         return;
 
-    core::BinWriter w;
+    core::BinWriter &w = *opts_->snapshotOut;
+    const std::size_t start = w.data().size();
     w.str(kSnapshotMagic);
     w.u32(kSnapshotVersion);
     w.i64(sim_.now());
@@ -496,11 +498,10 @@ Replayer::maybeCapture(const trace::Trace &out)
     }
     w.pod(stats_);
     device_.save(w);
-    snapshotImage_ = w.take();
     snapshotDone_ = true;
     EMMCSIM_LOG_DEBUG(
         "replay", "snapshot captured at " + std::to_string(sim_.now()) +
-                      " ns (" + std::to_string(snapshotImage_.size()) +
+                      " ns (" + std::to_string(w.data().size() - start) +
                       " bytes, " + std::to_string(nextArrival_) +
                       " arrivals in)");
 }

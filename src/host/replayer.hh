@@ -28,15 +28,19 @@
  *  - **Snapshot / resume.** ReplayOptions::snapshotAt captures the
  *    full mutable simulation state into a binary image at the first
  *    quiescent point (device idle, queue empty, no pending retries)
- *    at or after the requested tick. resume() reconstructs the run in
- *    a fresh simulator/device pair and continues it; the completed
- *    replay is byte-identical to the uninterrupted one.
+ *    at or after the requested tick, appended to the caller's
+ *    ReplayOptions::snapshotOut writer. resume() reads the image in
+ *    place, reconstructs the run in a fresh simulator/device pair and
+ *    continues it; the completed replay is byte-identical to the
+ *    uninterrupted one.
  */
 
 #ifndef EMMCSIM_HOST_REPLAYER_HH
 #define EMMCSIM_HOST_REPLAYER_HH
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "emmc/device.hh"
@@ -69,11 +73,19 @@ struct ReplayOptions
 
     /**
      * Capture a snapshot at the first quiescent point at or after
-     * this simulated time; negative disables. The image is available
-     * from snapshotImage() after replay() returns, and the replay
-     * itself continues to completion unperturbed.
+     * this simulated time; negative disables. The image is appended
+     * to snapshotOut, and the replay itself continues to completion
+     * unperturbed.
      */
     sim::Time snapshotAt = -1;
+
+    /**
+     * Where the snapshot image is appended; required when snapshotAt
+     * is set. The caller owns the writer and may have written its own
+     * header first (core::runCase wraps the image in place this way),
+     * so the image is never copied.
+     */
+    core::BinWriter *snapshotOut = nullptr;
 };
 
 /** Host-side error-recovery counters for one replay. */
@@ -157,7 +169,7 @@ class Replayer final : private sim::ArrivalCursor
      * opts.spo and opts.snapshotAt must be unset.
      */
     trace::Trace resume(const trace::Trace &input,
-                        const std::string &image,
+                        std::string_view image,
                         const ReplayOptions &opts = {});
 
     /**
@@ -176,12 +188,6 @@ class Replayer final : private sim::ArrivalCursor
 
     /** Error/retry counters of the most recent replay of any kind. */
     const ReplayStats &stats() const { return stats_; }
-
-    /** @return true once the requested snapshot was captured. */
-    bool snapshotTaken() const { return snapshotDone_; }
-
-    /** The captured image (empty until snapshotTaken()). */
-    const std::string &snapshotImage() const { return snapshotImage_; }
 
   private:
     /** Receives each request's final completion (after retries). */
@@ -207,13 +213,13 @@ class Replayer final : private sim::ArrivalCursor
     /** Shared body of replay() and resume(). */
     trace::Trace run(const trace::Trace &input,
                      const ReplayOptions &opts,
-                     const std::string *image);
+                     std::optional<std::string_view> image);
 
     /** Validate @p opts and reset the per-replay state. */
     void begin(const ReplayOptions &opts);
 
     /** Load a snapshot @p image into @p out, the clock and the device. */
-    void restore(const std::string &image, trace::Trace &out);
+    void restore(std::string_view image, trace::Trace &out);
 
     /**
      * The replay loop: merge @p src's records (ids from nextArrival_
@@ -274,7 +280,6 @@ class Replayer final : private sim::ArrivalCursor
     std::uint64_t nextArrival_ = 0; ///< records submitted; the next id
     sim::Time snapshotAt_ = -1;
     bool snapshotDone_ = false;
-    std::string snapshotImage_;
     /** @} */
 };
 

@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "core/binio.hh"
 #include "core/experiment.hh"
 #include "obs/report.hh"
 #include "workload/generator.hh"
@@ -163,4 +164,88 @@ TEST(Snapshot, TruncatedImageIsRejected)
     EXPECT_DEATH(
         resumeCase(t, SchemeKind::HPS, truncated, resume_opts),
         "snapshot");
+}
+
+TEST(SnapshotLayout, InPlaceStrMatchesStr)
+{
+    BinWriter inner;
+    inner.str("inner");
+    inner.u64(42);
+
+    BinWriter copied;
+    copied.u32(7);
+    copied.str(inner.data());
+
+    BinWriter in_place;
+    in_place.u32(7);
+    const std::size_t slot = in_place.beginStr();
+    in_place.str("inner");
+    in_place.u64(42);
+    in_place.endStr(slot);
+    EXPECT_EQ(in_place.data(), copied.data());
+
+    BinReader r(in_place.data());
+    EXPECT_EQ(r.u32(), 7u);
+    const std::string_view view = r.strView();
+    EXPECT_EQ(view, inner.data());
+    EXPECT_EQ(view.data(), in_place.data().data() + 12)
+        << "strView must point into the image, not at a copy";
+    EXPECT_TRUE(r.ok());
+
+    // A length past the end fails the read instead of overrunning.
+    BinReader short_read(std::string_view(in_place.data()).substr(0, 14));
+    short_read.u32();
+    EXPECT_TRUE(short_read.strView().empty());
+    EXPECT_FALSE(short_read.ok());
+}
+
+/**
+ * The case wrapper written in place around the replayer image: magic
+ * string, u32 version, the pre-replay FtlStats baseline, then the
+ * inner emmcsim-snap v1 image as a u64 length and its bytes.
+ */
+TEST(SnapshotLayout, CaseWrapperPinned)
+{
+    trace::Trace t = genTrace("Messaging", 0.02);
+    ExperimentOptions opts;
+    opts.capacityScale = 1.0 / 64.0;
+    opts.snapshotAt = t.duration() / 2;
+    CaseResult captured = runCase(t, SchemeKind::HPS, opts);
+    ASSERT_FALSE(captured.snapshotImage.empty());
+
+    BinReader r(captured.snapshotImage);
+    EXPECT_EQ(r.str(), "emmcsim-case-snap");
+    EXPECT_EQ(r.u32(), 1u);
+    ftl::FtlStats before;
+    r.pod(before);
+    // Written before the replay: a fresh device has no host writes.
+    EXPECT_EQ(before.hostUnitsWritten, 0u);
+    const std::uint64_t inner_len = r.u64();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(inner_len, r.remaining());
+
+    BinReader inner(std::string_view(captured.snapshotImage)
+                        .substr(captured.snapshotImage.size() -
+                                r.remaining()));
+    EXPECT_EQ(inner.str(), "emmcsim-snap");
+    EXPECT_EQ(inner.u32(), 1u);
+    EXPECT_TRUE(inner.ok());
+}
+
+TEST(SnapshotLayout, TruncatedWrapperDiesNamed)
+{
+    trace::Trace t = genTrace("Messaging", 0.02);
+    ExperimentOptions opts;
+    opts.capacityScale = 1.0 / 64.0;
+    opts.snapshotAt = t.duration() / 2;
+    CaseResult captured = runCase(t, SchemeKind::HPS, opts);
+    ASSERT_FALSE(captured.snapshotImage.empty());
+
+    // The inner length promises more bytes than the image holds.
+    const std::string truncated = captured.snapshotImage.substr(
+        0, captured.snapshotImage.size() - 1);
+    ExperimentOptions resume_opts;
+    resume_opts.capacityScale = opts.capacityScale;
+    EXPECT_DEATH(resumeCase(t, SchemeKind::HPS, truncated, resume_opts),
+                 "\\[fatal\\] corrupt case snapshot header");
 }

@@ -209,6 +209,43 @@ TEST(Replayer, EmptyTraceCompletes)
     EXPECT_EQ(out.size(), 0u);
 }
 
+TEST(Replayer, SnapshotAppendsToTheCallersWriter)
+{
+    sim::Simulator s;
+    auto dev = tinyDevice(s);
+    host::Replayer rep(s, *dev);
+    workload::FixedStreamSpec spec;
+    spec.count = 10;
+    spec.gap = sim::milliseconds(5);
+    trace::Trace in = workload::makeFixedStream(spec);
+
+    core::BinWriter w;
+    w.u32(0xfeedu);
+    host::ReplayOptions opts;
+    opts.snapshotAt = in.duration() / 2;
+    opts.snapshotOut = &w;
+    rep.replay(in, opts);
+
+    // The caller's bytes stay in front; the image follows them.
+    core::BinReader r(w.data());
+    EXPECT_EQ(r.u32(), 0xfeedu);
+    EXPECT_EQ(r.str(), "emmcsim-snap");
+    EXPECT_TRUE(r.ok());
+}
+
+TEST(Replayer, SnapshotNeedsAWriter)
+{
+    sim::Simulator s;
+    auto dev = tinyDevice(s);
+    host::Replayer rep(s, *dev);
+    workload::FixedStreamSpec spec;
+    spec.count = 3;
+    trace::Trace in = workload::makeFixedStream(spec);
+    host::ReplayOptions opts;
+    opts.snapshotAt = 0;
+    EXPECT_DEATH(rep.replay(in, opts), "snapshotOut");
+}
+
 TEST(ReplayerTies, ArrivalOnACompletionTickWinsOnBothPaths)
 {
     // The second request arrives on the exact tick the first one's

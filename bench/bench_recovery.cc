@@ -3,7 +3,9 @@
  * Power-up recovery and snapshot microbenchmarks (DESIGN.md §13).
  *
  * Reports, per dirty-state size:
- *   - wall time of Ftl::powerFailAndRecover (the OOB scan dominates)
+ *   - wall time of Ftl::powerFailAndRecover (the OOB scan dominates),
+ *     on a 49K-unit device and on the full-size HPS device, where a
+ *     pass over capacity-sized state would dominate instead
  *   - sim_recovery_ms: the *simulated* recovery cost the model
  *     charges (checkpoint read + journal replay + open-block scan +
  *     re-erase + checkpoint write)
@@ -16,10 +18,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
+
 #include <memory>
 
 #include "core/binio.hh"
 #include "core/experiment.hh"
+#include "core/scheme.hh"
 #include "emmc/device.hh"
 #include "ftl/ftl.hh"
 #include "host/replayer.hh"
@@ -91,17 +96,62 @@ BENCHMARK(BM_FtlPowerFailRecover)
     ->Arg(1 << 15)
     ->Unit(benchmark::kMillisecond);
 
-/** The fixed write stream every snapshot benchmark replays. */
+/** A sequential stream of @p count 16KB writes, 500 us apart. */
 trace::Trace
-fixedStream()
+fixedStream(std::uint64_t count = 2000)
 {
     workload::FixedStreamSpec spec;
     spec.write = true;
     spec.sizeBytes = sim::kib(16);
-    spec.count = 2000;
+    spec.count = count;
     spec.gap = sim::microseconds(500);
     return workload::makeFixedStream(spec);
 }
+
+/**
+ * Recovery on the full-size HPS device (7.8M logical units) after
+ * range(0) units of sequential 16KB writes. minor_faults is the
+ * recovery's own page-fault count: it stays proportional to the
+ * written pages only if nothing sweeps a capacity-sized table.
+ */
+void
+BM_HpsPowerFailRecover(benchmark::State &state)
+{
+    const trace::Trace t =
+        fixedStream(static_cast<std::uint64_t>(state.range(0)) / 4);
+    ftl::RecoveryReport rep;
+    long faults = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim::Simulator s;
+        auto dev = core::makeDevice(s, core::SchemeKind::HPS);
+        host::Replayer(s, *dev).replay(t);
+        rusage before{};
+        getrusage(RUSAGE_SELF, &before);
+        state.ResumeTiming();
+
+        rep = dev->ftl().powerFailAndRecover(s.now());
+        benchmark::DoNotOptimize(rep.recoveredUnits);
+
+        state.PauseTiming();
+        rusage after{};
+        getrusage(RUSAGE_SELF, &after);
+        faults = after.ru_minflt - before.ru_minflt;
+        dev.reset();
+        state.ResumeTiming();
+    }
+
+    state.SetItemsProcessed(state.range(0) * state.iterations());
+    state.counters["recovered_units"] =
+        static_cast<double>(rep.recoveredUnits);
+    state.counters["scanned_pages"] =
+        static_cast<double>(rep.scannedPages);
+    state.counters["minor_faults"] = static_cast<double>(faults);
+}
+BENCHMARK(BM_HpsPowerFailRecover)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 /** One replayed device at a quiescent point, ready to snapshot. */
 std::unique_ptr<emmc::EmmcDevice>

@@ -130,6 +130,12 @@ MetaJournal::installRecovered(flash::Lpn lpn, const MapEntry &e)
     map_.set(lpn, e);
 }
 
+void
+MetaJournal::dropRecovered(flash::Lpn lpn)
+{
+    map_.clear(lpn);
+}
+
 std::uint64_t
 MetaJournal::durableTrimSeq(flash::Lpn lpn) const
 {

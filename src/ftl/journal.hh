@@ -123,6 +123,9 @@ class MetaJournal
     /** Install one recovered winner into the mapping table. */
     void installRecovered(flash::Lpn lpn, const MapEntry &e);
 
+    /** Unmap a recovered winner that a durable trim voids. */
+    void dropRecovered(flash::Lpn lpn);
+
     /** Durable trim sequence for @p lpn (0 = never trimmed). */
     std::uint64_t durableTrimSeq(flash::Lpn lpn) const;
     /** @} */

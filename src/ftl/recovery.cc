@@ -17,7 +17,8 @@
  * and write a fresh checkpoint.
  */
 
-#include "core/zero_array.hh"
+#include <algorithm>
+
 #include "ftl/ftl.hh"
 #include "sim/logging.hh"
 
@@ -57,95 +58,103 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
     }
 
     // 4. Rebuild the mapping from the OOB stamps. RAM validity state
-    // is gone; collect the highest-seq copy of every logical unit.
-    // The table sits on zero pages (seq 0 = no copy seen), so a cut on
-    // a lightly written device touches only the units it wrote.
-    struct Winner
-    {
-        std::uint64_t seq = 0;
-        std::uint32_t planeLinear = 0;
-        std::uint16_t pool = 0;
-        std::uint16_t unit = 0;
-        flash::Ppn ppn{0};
+    // is gone. The map itself holds the running winner of each logical
+    // unit, the copy with the highest seq; a winner's seq is the stamp
+    // of the page its entry points at. Both passes below visit only
+    // written pages, so host cost follows the data on flash, not the
+    // device's capacity.
+    auto seqOf = [this](const MapEntry &e) {
+        return array_.plane(static_cast<std::uint32_t>(e.planeLinear))
+            .pool(e.pool)
+            .pageSeq(e.ppn);
     };
-    core::ZeroArray<Winner> winners(map_.logicalUnits());
-
-    journal_.resetMapForRecovery();
-    for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {
-        for (std::uint32_t k = 0; k < geom.pools.size(); ++k) {
-            auto &bp = array_.plane(pl).pool(k);
-            const bool open = bp.activeBlock() >= 0;
-            bp.beginRecoveryScan();
-            const std::uint32_t ppb = bp.pagesPerBlock();
-            for (std::uint32_t b = 0; b < bp.blockCount(); ++b) {
-                const flash::BlockId bid{b};
-                if (bp.blockFree(bid) || bp.blockRetired(bid))
-                    continue;
-                const std::uint32_t written =
-                    std::min(bp.writtenPages(bid), ppb);
-                for (std::uint32_t pg = 0; pg < written; ++pg) {
-                    const flash::Ppn ppn =
-                        units::blockFirstPage(bid, ppb) + pg;
-                    ++rep.scannedPages;
-                    const std::uint64_t seq = bp.pageSeq(ppn);
-                    if (seq == 0)
-                        continue; // torn or sealed-over page
-                    for (std::uint32_t u = 0; u < bp.unitsPerPage();
-                         ++u) {
-                        const flash::Lpn lpn = bp.lpnAt(ppn, u);
-                        if (lpn == flash::kNoLpn)
-                            continue;
-                        auto &win = winners[static_cast<std::size_t>(
-                            lpn.value())];
-                        if (seq > win.seq) {
-                            if (win.seq != 0)
-                                ++rep.staleCopies;
-                            win.seq = seq;
-                            win.planeLinear = pl;
-                            win.pool = static_cast<std::uint16_t>(k);
-                            win.unit = static_cast<std::uint16_t>(u);
-                            win.ppn = ppn;
-                        } else {
-                            ++rep.staleCopies;
+    // Visit every stamped unit of every non-free, non-retired block as
+    // (copy, lpn, seq); returns the pages examined.
+    auto scanStamped = [this, &geom](auto &&visit) {
+        std::uint64_t pages = 0;
+        for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {
+            for (std::uint32_t k = 0; k < geom.pools.size(); ++k) {
+                const auto &bp = array_.plane(pl).pool(k);
+                const std::uint32_t ppb = bp.pagesPerBlock();
+                MapEntry copy;
+                copy.planeLinear = static_cast<std::int32_t>(pl);
+                copy.pool = static_cast<std::uint16_t>(k);
+                for (std::uint32_t b = 0; b < bp.blockCount(); ++b) {
+                    const flash::BlockId bid{b};
+                    if (bp.blockFree(bid) || bp.blockRetired(bid))
+                        continue;
+                    const std::uint32_t written =
+                        std::min(bp.writtenPages(bid), ppb);
+                    for (std::uint32_t pg = 0; pg < written; ++pg) {
+                        copy.ppn = units::blockFirstPage(bid, ppb) + pg;
+                        ++pages;
+                        const std::uint64_t seq = bp.pageSeq(copy.ppn);
+                        if (seq == 0)
+                            continue; // torn or sealed-over page
+                        for (std::uint32_t u = 0; u < bp.unitsPerPage();
+                             ++u) {
+                            const flash::Lpn lpn = bp.lpnAt(copy.ppn, u);
+                            if (lpn == flash::kNoLpn)
+                                continue;
+                            copy.unit = static_cast<std::uint16_t>(u);
+                            visit(copy, lpn, seq);
                         }
                     }
                 }
             }
-            // Cost model: a real controller OOB-scans only the blocks
-            // its checkpoint had not sealed — the ones open at the cut.
-            if (open) {
-                const flash::BlockId ab{static_cast<std::uint32_t>(
-                    bp.activeBlock())};
-                rep.openBlockScanPages +=
-                    std::min(bp.writtenPages(ab), ppb);
-            }
-            bp.sealOpenBlocks();
-            if (open)
-                ++rep.sealedBlocks;
         }
-    }
+        return pages;
+    };
 
-    // 5. Install the winners, honouring durable trims: a trim recorded
-    // after the winner was written voids it.
-    for (std::uint64_t l = 0; l < winners.size(); ++l) {
-        const Winner &win = winners[l];
-        if (win.seq == 0)
-            continue;
-        const flash::Lpn lpn{static_cast<std::int64_t>(l)};
-        if (journal_.durableTrimSeq(lpn) > win.seq) {
-            ++rep.trimmedWinners;
-            continue;
+    for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl)
+        for (std::uint32_t k = 0; k < geom.pools.size(); ++k)
+            array_.plane(pl).pool(k).beginRecoveryScan();
+    journal_.resetMapForRecovery();
+
+    // Pass 1: elect the winners. Every copy after the first of an lpn
+    // is a stale copy, whichever of the two wins.
+    rep.scannedPages = scanStamped(
+        [&](const MapEntry &copy, flash::Lpn lpn, std::uint64_t seq) {
+            if (map_.mapped(lpn)) {
+                ++rep.staleCopies;
+                if (seq <= seqOf(map_.lookup(lpn)))
+                    return;
+            }
+            journal_.installRecovered(lpn, copy);
+        });
+
+    // Pass 2: a copy is the winner exactly when the map points at it.
+    // A trim recorded after the winner was written voids it; every
+    // other winner is live again.
+    scanStamped(
+        [&](const MapEntry &copy, flash::Lpn lpn, std::uint64_t seq) {
+            if (map_.lookup(lpn) != copy)
+                return;
+            if (journal_.durableTrimSeq(lpn) > seq) {
+                journal_.dropRecovered(lpn);
+                ++rep.trimmedWinners;
+                return;
+            }
+            array_.plane(static_cast<std::uint32_t>(copy.planeLinear))
+                .pool(copy.pool)
+                .revalidateUnit(copy.ppn, copy.unit);
+            ++rep.recoveredUnits;
+        });
+
+    // 5. Seal the blocks open at the cut. Cost model: a real controller
+    // OOB-scans only the blocks its checkpoint had not sealed.
+    for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {
+        for (std::uint32_t k = 0; k < geom.pools.size(); ++k) {
+            auto &bp = array_.plane(pl).pool(k);
+            if (bp.activeBlock() < 0)
+                continue;
+            const flash::BlockId ab{
+                static_cast<std::uint32_t>(bp.activeBlock())};
+            rep.openBlockScanPages +=
+                std::min(bp.writtenPages(ab), bp.pagesPerBlock());
+            bp.sealOpenBlocks();
+            ++rep.sealedBlocks;
         }
-        MapEntry e;
-        e.planeLinear = static_cast<std::int32_t>(win.planeLinear);
-        e.pool = win.pool;
-        e.ppn = win.ppn;
-        e.unit = win.unit;
-        journal_.installRecovered(lpn, e);
-        array_.plane(win.planeLinear)
-            .pool(win.pool)
-            .revalidateUnit(win.ppn, win.unit);
-        ++rep.recoveredUnits;
     }
 
     // 6. Volatile placement state restarts from scratch.

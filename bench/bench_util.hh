@@ -34,8 +34,6 @@ struct BenchArgs
     unsigned jobs = 0;
     /** Run-report JSON output (--metrics-json=FILE; empty = off). */
     std::string metricsJson;
-    /** Chrome trace output (--trace-out=FILE; empty = off). */
-    std::string traceOut;
     /**
      * google-benchmark-format JSON part (--bench-json=FILE; empty =
      * off) for scripts/run_benchmarks.sh to merge into
@@ -62,10 +60,6 @@ parseBenchArgs(int argc, char **argv, double fallback_scale = 1.0)
             args.metricsJson = a.substr(15);
             if (args.metricsJson.empty())
                 sim::fatal("--metrics-json needs a file");
-        } else if (a.rfind("--trace-out=", 0) == 0) {
-            args.traceOut = a.substr(12);
-            if (args.traceOut.empty())
-                sim::fatal("--trace-out needs a file");
         } else if (a.rfind("--bench-json=", 0) == 0) {
             args.benchJson = a.substr(13);
             if (args.benchJson.empty())

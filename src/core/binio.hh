@@ -10,6 +10,14 @@
  * header carries one global version). Images are an exact-resume
  * artifact for the machine that wrote them, not an interchange format.
  *
+ * The two classes share one set of field operations with the same
+ * call shape: pod, podVec, fixedVec, expect, podTable, sparseU64,
+ * text, each and nested. A snapshotted class lists its fields once,
+ * in a template over the direction, and its save() and load() both
+ * walk that list (DESIGN.md §13.5). What only a load does — clearing
+ * zero-page tables, semantic checks, rebuilding indexes — sits in
+ * load() around the list, never in a second list.
+ *
  * The reader never throws and never trusts a length field: a truncated
  * or corrupt image flips a sticky failure flag, every later read
  * returns zeros/empties, and container reads are bounded by the bytes
@@ -22,7 +30,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -76,20 +86,7 @@ class BinWriter
 
     void u32(std::uint32_t v) { raw(&v, sizeof v); }
     void u64(std::uint64_t v) { raw(&v, sizeof v); }
-    void i32(std::int32_t v) { raw(&v, sizeof v); }
     void i64(std::int64_t v) { raw(&v, sizeof v); }
-
-    /** Doubles are stored bit-exact (resume must not re-round). */
-    void
-    f64(double v)
-    {
-        static_assert(sizeof(double) == sizeof(std::uint64_t));
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-    void b(bool v) { u8(v ? 1 : 0); }
 
     /**
      * LEB128 varint: 7 value bits per byte, high bit = continuation.
@@ -144,6 +141,8 @@ class BinWriter
         std::memcpy(buf_.data() + slot, &n, sizeof n);
     }
 
+    /** @name Field operations (same call shape as BinReader's). @{ */
+
     /** One trivially-copyable value, raw. */
     template <typename T>
     void
@@ -151,6 +150,14 @@ class BinWriter
     {
         static_assert(std::is_trivially_copyable_v<T>);
         raw(&v, sizeof v);
+    }
+
+    /** A header value, which the reader requires to match. */
+    template <typename T>
+    void
+    expect(const T &v)
+    {
+        pod(v);
     }
 
     /** Length-prefixed vector of trivially-copyable elements. */
@@ -165,46 +172,50 @@ class BinWriter
     }
 
     /**
-     * The podVec bytes of @p n elements of type T, element i being
-     * @p at(i). Lets a table stored in another encoding write the
-     * layout a plain vector of T would.
+     * A vector whose length the reader requires to match its own: a
+     * podVec, or for std::vector<bool> flags packed 8 per byte.
      */
-    template <typename T, typename At>
+    template <typename T>
     void
-    podVecOf(std::size_t n, At at)
+    fixedVec(const std::vector<T> &v)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        u64(n);
-        const std::size_t base = buf_.size();
-        buf_.resize(base + n * sizeof(T));
-        char *out = buf_.data() + base;
-        for (std::size_t i = 0; i < n; ++i) {
-            const T v = at(i);
-            std::memcpy(out + i * sizeof(T), &v, sizeof(T));
-        }
-    }
-
-    /** std::vector<bool> packed 8 flags per byte. */
-    void
-    boolVec(const std::vector<bool> &v)
-    {
-        u64(v.size());
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (v[i])
-                acc |= static_cast<std::uint8_t>(1u << (i % 8));
-            if (i % 8 == 7) {
+        if constexpr (!std::is_same_v<T, bool>) {
+            podVec(v);
+        } else {
+            u64(v.size());
+            for (std::size_t i = 0; i < v.size(); i += 8) {
+                std::uint8_t acc = 0;
+                for (std::size_t k = i; k < v.size() && k < i + 8; ++k)
+                    acc |= static_cast<std::uint8_t>(v[k] << (k - i));
                 u8(acc);
-                acc = 0;
             }
         }
-        if (v.size() % 8 != 0)
-            u8(acc);
     }
 
     /**
-     * u64 vector stored as (index, value) pairs when mostly zero —
-     * the durable-trim table is huge but almost always empty.
+     * A table kept in another encoding, as the podVec of @p to(t[i])
+     * for each i. @p from is the inverse, which only the reader calls.
+     */
+    template <typename Table, typename To = std::identity,
+              typename From = std::identity>
+    void
+    podTable(const Table &t, To to = {}, From = {})
+    {
+        using T = std::remove_cvref_t<decltype(to(t[0]))>;
+        static_assert(std::is_trivially_copyable_v<T>);
+        const std::size_t n = t.size();
+        u64(n);
+        const std::size_t base = buf_.size();
+        buf_.resize(base + n * sizeof(T));
+        for (std::size_t i = 0; i < n; ++i) {
+            const T v = to(t[i]);
+            std::memcpy(buf_.data() + base + i * sizeof(T), &v, sizeof v);
+        }
+    }
+
+    /**
+     * u64 table stored as (index, value) pairs when mostly zero —
+     * the trim and page-seq tables are huge but mostly empty.
      */
     void
     sparseU64(std::span<const std::uint64_t> v)
@@ -228,6 +239,38 @@ class BinWriter
                 raw(v.data(), v.size() * sizeof(std::uint64_t));
         }
     }
+
+    /** A value stored as the str() of its stream operator<<. */
+    template <typename T>
+    void
+    text(const T &v)
+    {
+        std::ostringstream os;
+        os << v;
+        str(os.str());
+    }
+
+    /**
+     * A u64 count, then @p field(e) for each element e of @p c; each
+     * element must write at least one byte.
+     */
+    template <typename C, typename Field>
+    void
+    each(const C &c, Field field)
+    {
+        u64(c.size());
+        for (const auto &e : c)
+            field(e);
+    }
+
+    /** A member object's layout, through its save(). */
+    template <typename T>
+    void
+    nested(const T &x)
+    {
+        x.save(*this);
+    }
+    /** @} */
 
     const std::string &data() const { return buf_; }
     std::string take() { return std::move(buf_); }
@@ -257,56 +300,10 @@ class BinReader
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return buf_.size() - pos_; }
 
-    std::uint8_t
-    u8()
-    {
-        std::uint8_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    std::int32_t
-    i32()
-    {
-        std::int32_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    std::int64_t
-    i64()
-    {
-        std::int64_t v = 0;
-        raw(&v, sizeof v);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
-    }
-
-    bool b() { return u8() != 0; }
+    std::uint8_t u8() { return get<std::uint8_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
+    std::int64_t i64() { return get<std::int64_t>(); }
 
     /** LEB128 varint; a malformed (>10-byte) encoding fails the read. */
     std::uint64_t
@@ -352,14 +349,30 @@ class BinReader
         return s;
     }
 
+    /** @name Field operations (same call shape as BinWriter's). @{ */
+
+    /** One trivially-copyable value; a bool is any non-zero byte. */
     template <typename T>
     void
     pod(T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        raw(&v, sizeof v);
+        if constexpr (std::is_same_v<T, bool>)
+            v = u8() != 0;
+        else
+            raw(&v, sizeof v);
     }
 
+    /** A header value; fails unless it equals @p v. */
+    template <typename T>
+    void
+    expect(const T &v)
+    {
+        if (!(get<T>() == v))
+            ok_ = false;
+    }
+
+    /** A podVec of any length; @p v takes the stored one. */
     template <typename T>
     void
     podVec(std::vector<T> &v)
@@ -376,84 +389,77 @@ class BinReader
             raw(v.data(), n * sizeof(T));
     }
 
+    /** A fixedVec; fails unless the stored length is v.size(). */
+    template <typename T>
+    void
+    fixedVec(std::vector<T> &v)
+    {
+        if (u64() != v.size()) {
+            ok_ = false;
+        } else if constexpr (!std::is_same_v<T, bool>) {
+            if (!v.empty())
+                raw(v.data(), v.size() * sizeof(T));
+        } else if ((v.size() + 7) / 8 > remaining()) {
+            ok_ = false;
+        } else {
+            std::uint8_t acc = 0;
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                if (i % 8 == 0)
+                    acc = u8();
+                v[i] = (acc >> (i % 8)) & 1u;
+            }
+        }
+    }
+
     /**
-     * Read a podVec of exactly @p n elements of type T, handing each
-     * to @p put(i, value): the inverse of BinWriter::podVecOf. A
-     * different length or a short image fails the read before any
-     * call.
+     * A podTable of exactly t.size() elements: element i becomes
+     * @p from(value). @p t must be all zero and only non-zero results
+     * are stored, so the untouched part of a zero-page table stays
+     * untouched. A wrong length or a short image stores nothing.
      */
-    template <typename T, typename Put>
+    template <typename Table, typename To = std::identity,
+              typename From = std::identity>
     void
-    podVecInto(std::size_t n, Put put)
+    podTable(Table &t, To = {}, From from = {})
     {
-        if (u64() != n) {
+        using E = std::remove_cvref_t<decltype(t[0])>;
+        using T = std::remove_cvref_t<std::invoke_result_t<To &, const E &>>;
+        static constexpr unsigned char kZero[sizeof(E)] = {};
+        if (u64() != t.size()) {
             ok_ = false;
             return;
         }
-        podBody<T>(n, put);
+        podBody<T>(t.size(), [&](std::size_t i, const T &v) {
+            const E e = from(v);
+            if (std::memcmp(&e, kZero, sizeof e) != 0)
+                t[i] = e;
+        });
     }
 
-    void
-    boolVec(std::vector<bool> &v)
-    {
-        std::uint64_t n = u64();
-        const std::uint64_t bytes = (n + 7) / 8;
-        if (bytes > remaining()) {
-            ok_ = false;
-            v.clear();
-            return;
-        }
-        v.assign(n, false);
-        std::uint8_t acc = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (i % 8 == 0)
-                acc = u8();
-            v[i] = (acc >> (i % 8)) & 1u;
-        }
-    }
-
+    /** A sparseU64 of any length; @p v takes the stored one. */
     void
     sparseU64(std::vector<std::uint64_t> &v)
     {
-        std::uint64_t n = u64();
-        std::uint8_t mode = u8();
-        if (mode == 1) {
-            std::uint64_t nonzero = u64();
-            if (n > (std::uint64_t{1} << 40) ||
-                nonzero * 16 > remaining()) {
-                ok_ = false;
-                v.clear();
-                return;
-            }
-            v.assign(n, 0);
-            for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
-                std::uint64_t i = u64();
-                std::uint64_t x = u64();
-                if (i >= n) {
-                    ok_ = false;
-                    return;
-                }
-                v[i] = x;
-            }
-        } else {
-            if (n > remaining() / sizeof(std::uint64_t)) {
-                ok_ = false;
-                v.clear();
-                return;
-            }
-            v.resize(n);
-            if (n > 0)
-                raw(v.data(), n * sizeof(std::uint64_t));
+        const std::uint64_t n = u64();
+        const std::uint8_t mode = u8();
+        v.clear();
+        // Dense entries are all in the image; sparse zeros are not.
+        if (mode == 1 ? n > (std::uint64_t{1} << 40)
+                      : n > remaining() / sizeof(std::uint64_t)) {
+            ok_ = false;
+            return;
         }
+        v.assign(n, 0);
+        sparseBody(v, mode);
     }
 
     /**
-     * Read a sparseU64 of exactly v.size() values into @p v, which
-     * must be all zero: only the non-zero values are stored, so the
+     * A sparseU64 of exactly v.size() values into @p v, which must
+     * be all zero: only the non-zero values are stored, so the
      * untouched part of a zero-page table stays untouched.
      */
     void
-    sparseU64Into(std::span<std::uint64_t> v)
+    sparseU64(std::span<std::uint64_t> v)
     {
         const std::uint64_t n = u64();
         const std::uint8_t mode = u8();
@@ -461,32 +467,55 @@ class BinReader
             ok_ = false;
             return;
         }
-        if (mode == 1) {
-            const std::uint64_t nonzero = u64();
-            if (nonzero > remaining() / 16) {
-                ok_ = false;
-                return;
-            }
-            for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
-                const std::uint64_t i = u64();
-                const std::uint64_t x = u64();
-                if (i >= n) {
-                    ok_ = false;
-                    return;
-                }
-                if (x != 0)
-                    v[i] = x;
-            }
-        } else {
-            podBody<std::uint64_t>(n, [&v](std::size_t i,
-                                           std::uint64_t x) {
-                if (x != 0)
-                    v[i] = x;
-            });
-        }
+        sparseBody(v, mode);
     }
 
+    /** A text value; fails unless its operator>> accepts it. */
+    template <typename T>
+    void
+    text(T &v)
+    {
+        std::istringstream is(str());
+        is >> v;
+        if (is.fail())
+            ok_ = false;
+    }
+
+    /** An each(): @p c is cleared and takes one element per entry. */
+    template <typename C, typename Field>
+    void
+    each(C &c, Field field)
+    {
+        const std::uint64_t n = u64();
+        c.clear();
+        // Every element takes at least one byte.
+        if (n > remaining()) {
+            ok_ = false;
+            return;
+        }
+        for (std::uint64_t i = 0; i < n && ok_; ++i)
+            field(c.emplace_back());
+    }
+
+    /** A member object's layout, through its load(). */
+    template <typename T>
+    void
+    nested(T &x)
+    {
+        x.load(*this);
+    }
+    /** @} */
+
   private:
+    template <typename T>
+    T
+    get()
+    {
+        T v{};
+        raw(&v, sizeof v);
+        return v;
+    }
+
     /** @p n raw elements of type T, each handed to @p put(i, value). */
     template <typename T, typename Put>
     void
@@ -504,6 +533,34 @@ class BinReader
             put(i, v);
         }
         pos_ += n * sizeof(T);
+    }
+
+    /** A sparseU64's entries, its length and mode read, into zeros. */
+    void
+    sparseBody(std::span<std::uint64_t> v, std::uint8_t mode)
+    {
+        const auto put = [&v](std::size_t i, std::uint64_t x) {
+            if (x != 0)
+                v[i] = x;
+        };
+        if (mode != 1) {
+            podBody<std::uint64_t>(v.size(), put);
+            return;
+        }
+        const std::uint64_t nonzero = u64();
+        if (nonzero > remaining() / 16) {
+            ok_ = false;
+            return;
+        }
+        for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
+            const std::uint64_t i = u64();
+            const std::uint64_t x = u64();
+            if (i >= v.size()) {
+                ok_ = false;
+                return;
+            }
+            put(i, x);
+        }
     }
 
     void

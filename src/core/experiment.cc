@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -307,10 +308,12 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
                            : replayer.replay(*in.trace, replay_opts);
         res.traceName = in.trace->name();
         // Exact nearest-rank tail from the replayed timestamps.
-        sim::Percentiles resp;
+        std::vector<double> resp;
+        resp.reserve(res.replayed.size());
         for (const auto &r : res.replayed.records())
-            resp.add(sim::toMilliseconds(r.finish - r.arrival));
-        res.p99ResponseMs = resp.percentile(99.0);
+            resp.push_back(sim::toMilliseconds(r.finish - r.arrival));
+        std::sort(resp.begin(), resp.end());
+        res.p99ResponseMs = sim::percentile<double>(resp, 99.0);
     }
     collectDeviceColumns(res, *device, replayer, before);
 

@@ -446,41 +446,37 @@ EmmcDevice::flushCache(sim::Time now)
     return done;
 }
 
+template <typename Self, typename IO>
+void
+EmmcDevice::fields(Self &self, IO &io)
+{
+    io.nested(self.injector_);
+    io.nested(self.array_);
+    io.nested(self.ftl_);
+    io.nested(self.packer_);
+    io.nested(self.power_);
+    io.nested(self.buffer_);
+    io.pod(self.idle_);
+    io.pod(self.gcBusyUntil_);
+    io.pod(self.mountBusyUntil_);
+    io.pod(self.stats_);
+    io.pod(self.spoStats_);
+    io.podVec(self.pendingIdleTicks_);
+}
+
 void
 EmmcDevice::save(core::BinWriter &w) const
 {
     EMMCSIM_ASSERT(!busy_ && queue_.empty() && !hasPendingCompletion_ &&
                        !poweredOff_,
                    "snapshots are quiescent-point only");
-    injector_.save(w);
-    array_.save(w);
-    ftl_.save(w);
-    packer_.save(w);
-    power_.save(w);
-    buffer_.save(w);
-    w.b(idle_);
-    w.i64(gcBusyUntil_);
-    w.i64(mountBusyUntil_);
-    w.pod(stats_);
-    w.pod(spoStats_);
-    w.podVec(pendingIdleTicks_);
+    fields(*this, w);
 }
 
 void
 EmmcDevice::load(core::BinReader &r)
 {
-    injector_.load(r);
-    array_.load(r);
-    ftl_.load(r);
-    packer_.load(r);
-    power_.load(r);
-    buffer_.load(r);
-    idle_ = r.b();
-    gcBusyUntil_ = r.i64();
-    mountBusyUntil_ = r.i64();
-    r.pod(stats_);
-    r.pod(spoStats_);
-    r.podVec(pendingIdleTicks_);
+    fields(*this, r);
     busy_ = false;
     poweredOff_ = false;
     hasPendingCompletion_ = false;

@@ -268,6 +268,10 @@ class EmmcDevice
     }
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Dispatch the next command from the queue head. */
     void startNext();
 

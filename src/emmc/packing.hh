@@ -58,11 +58,19 @@ class WritePacker
     const PackingStats &stats() const { return stats_; }
 
     /** @name Snapshot (policy is config; only counters persist). @{ */
-    void save(core::BinWriter &w) const { w.pod(stats_); }
-    void load(core::BinReader &r) { r.pod(stats_); }
+    void save(core::BinWriter &w) const { fields(*this, w); }
+    void load(core::BinReader &r) { fields(*this, r); }
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void
+    fields(Self &self, IO &io)
+    {
+        io.pod(self.stats_);
+    }
+
     PackingConfig cfg_;
     PackingStats stats_;
 };

@@ -71,21 +71,20 @@ class PowerManager
     const PowerStats &stats() const { return stats_; }
 
     /** @name Snapshot (counters plus the idle timestamp). @{ */
-    void
-    save(core::BinWriter &w) const
-    {
-        w.pod(stats_);
-        w.i64(idleSince_);
-    }
-    void
-    load(core::BinReader &r)
-    {
-        r.pod(stats_);
-        idleSince_ = r.i64();
-    }
+    void save(core::BinWriter &w) const { fields(*this, w); }
+    void load(core::BinReader &r) { fields(*this, r); }
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void
+    fields(Self &self, IO &io)
+    {
+        io.pod(self.stats_);
+        io.pod(self.idleSince_);
+    }
+
     PowerConfig cfg_;
     PowerStats stats_;
     sim::Time idleSince_ = 0;

@@ -124,35 +124,32 @@ RamBuffer::discardAll()
     return lost;
 }
 
+template <typename Self, typename IO>
+void
+RamBuffer::fields(Self &self, IO &io)
+{
+    io.pod(self.stats_);
+    io.each(self.lru_, [&io](auto &e) {
+        io.pod(e.lpn);
+        io.pod(e.dirty);
+    });
+}
+
 void
 RamBuffer::save(core::BinWriter &w) const
 {
-    w.pod(stats_);
-    w.u64(lru_.size());
-    for (const Entry &e : lru_) {
-        w.pod(e.lpn);
-        w.b(e.dirty);
-    }
+    fields(*this, w);
 }
 
 void
 RamBuffer::load(core::BinReader &r)
 {
-    r.pod(stats_);
-    lru_.clear();
-    map_.clear();
-    const std::uint64_t n = r.u64();
-    if (n > cfg_.capacityUnits || n > r.remaining()) {
+    fields(*this, r);
+    if (lru_.size() > cfg_.capacityUnits)
         r.fail();
-        return;
-    }
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        Entry e{};
-        r.pod(e.lpn);
-        e.dirty = r.b();
-        lru_.push_back(e);
-        map_[e.lpn] = std::prev(lru_.end());
-    }
+    map_.clear();
+    for (auto it = lru_.begin(); it != lru_.end(); ++it)
+        map_[it->lpn] = it;
 }
 
 } // namespace emmcsim::emmc

@@ -121,6 +121,10 @@ class RamBuffer
     };
     using LruList = std::list<Entry>;
 
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Insert or refresh one unit. Appends dirty evictions. */
     void touch(flash::Lpn lpn, bool dirty, std::vector<flash::Lpn> &out);
 

@@ -1,7 +1,6 @@
 #include "fault/injector.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -146,31 +145,29 @@ FaultInjector::eraseFails(std::uint32_t erase_count)
     return false;
 }
 
+template <typename Self, typename IO>
 void
-FaultInjector::save(core::BinWriter &w) const
+FaultInjector::fields(Self &self, IO &io)
 {
     // mt19937_64 state round-trips exactly through its stream
     // operators (decimal words, locale-independent "C" formatting).
-    std::ostringstream os;
-    os << engine_;
-    w.str(os.str());
-    w.pod(stats_);
-    w.u32(forcedReads_);
-    w.u32(forcedPrograms_);
-    w.u32(forcedErases_);
+    io.text(self.engine_);
+    io.pod(self.stats_);
+    io.pod(self.forcedReads_);
+    io.pod(self.forcedPrograms_);
+    io.pod(self.forcedErases_);
+}
+
+void
+FaultInjector::save(core::BinWriter &w) const
+{
+    fields(*this, w);
 }
 
 void
 FaultInjector::load(core::BinReader &r)
 {
-    std::istringstream is(r.str());
-    is >> engine_;
-    if (is.fail())
-        r.fail();
-    r.pod(stats_);
-    forcedReads_ = r.u32();
-    forcedPrograms_ = r.u32();
-    forcedErases_ = r.u32();
+    fields(*this, r);
 }
 
 } // namespace emmcsim::fault

@@ -185,6 +185,10 @@ class FaultInjector
     /** Uniform draw in [0, 1). */
     double draw();
 
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     FaultConfig cfg_;
     std::mt19937_64 engine_;
     FaultStats stats_;

@@ -246,42 +246,31 @@ FlashArray::totalStats() const
     return total;
 }
 
+template <typename Self, typename IO>
+void
+FlashArray::fields(Self &self, IO &io)
+{
+    io.expect(static_cast<std::uint32_t>(self.planes_.size()));
+    for (auto &p : self.planes_)
+        for (std::size_t k = 0; k < p.poolCount(); ++k)
+            io.nested(p.pool(k));
+    io.fixedVec(self.channelFree_);
+    io.fixedVec(self.arrayFree_);
+    io.expect(static_cast<std::uint32_t>(self.stats_.size()));
+    for (auto &s : self.stats_)
+        io.pod(s);
+}
+
 void
 FlashArray::save(core::BinWriter &w) const
 {
-    w.u32(static_cast<std::uint32_t>(planes_.size()));
-    for (const Plane &p : planes_)
-        for (std::size_t k = 0; k < p.poolCount(); ++k)
-            p.pool(k).save(w);
-    w.podVec(channelFree_);
-    w.podVec(arrayFree_);
-    w.u32(static_cast<std::uint32_t>(stats_.size()));
-    for (const ArrayStats &s : stats_)
-        w.pod(s);
+    fields(*this, w);
 }
 
 void
 FlashArray::load(core::BinReader &r)
 {
-    if (r.u32() != planes_.size()) {
-        r.fail();
-        return;
-    }
-    for (Plane &p : planes_)
-        for (std::size_t k = 0; k < p.poolCount(); ++k)
-            p.pool(k).load(r);
-    const std::size_t channels = channelFree_.size();
-    const std::size_t arrays = arrayFree_.size();
-    r.podVec(channelFree_);
-    r.podVec(arrayFree_);
-    if (channelFree_.size() != channels || arrayFree_.size() != arrays)
-        r.fail();
-    if (r.u32() != stats_.size()) {
-        r.fail();
-        return;
-    }
-    for (ArrayStats &s : stats_)
-        r.pod(s);
+    fields(*this, r);
 }
 
 } // namespace emmcsim::flash

@@ -191,6 +191,10 @@ class FlashArray
     /** Index of the array-parallelism unit for @p addr. */
     std::size_t arrayIndex(const PageAddr &addr) const;
 
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Reserve the channel for @p dur starting no earlier than @p t. */
     sim::Time reserveChannel(std::uint32_t ch, sim::Time t, sim::Time dur);
 

@@ -393,80 +393,50 @@ BlockPool::sealOpenBlocks()
         sealBlock(BlockId{static_cast<std::uint32_t>(active_)});
 }
 
+template <typename Self, typename IO>
+void
+BlockPool::fields(Self &self, IO &io)
+{
+    io.expect(self.pageBytes_);
+    io.expect(self.unitsPerPage_);
+    io.expect(self.blocks_);
+    io.expect(self.pagesPerBlock_);
+    // Snapshot layout v1 stores the dense tables: lpns as Lpn with
+    // kNoLpn for unwritten slots.
+    io.podTable(self.lpns_, decodeLpn, encodeLpn);
+    io.podTable(self.valid_);
+    io.sparseU64(self.pageSeq_.span());
+    io.fixedVec(self.writePtr_);
+    io.fixedVec(self.blockValid_);
+    io.fixedVec(self.eraseCnt_);
+    io.fixedVec(self.lastWriteSeq_);
+    io.pod(self.allocSeq_);
+    io.fixedVec(self.isFree_);
+    io.fixedVec(self.suspect_);
+    io.fixedVec(self.retired_);
+    io.pod(self.freeCount_);
+    io.pod(self.retiredCount_);
+    io.pod(self.active_);
+    io.pod(self.totalErases_);
+    io.pod(self.programmed_);
+    io.pod(self.validUnits_);
+    io.pod(self.tornPages_);
+}
+
 void
 BlockPool::save(core::BinWriter &w) const
 {
-    w.u32(pageBytes_);
-    w.u32(unitsPerPage_);
-    w.u32(blocks_);
-    w.u32(pagesPerBlock_);
-    // Snapshot layout v1 stores the dense tables: lpns as Lpn with
-    // kNoLpn for unwritten slots.
-    w.podVecOf<Lpn>(lpns_.size(),
-                    [this](std::size_t i) { return decodeLpn(lpns_[i]); });
-    w.podVecOf<std::uint8_t>(valid_.size(),
-                             [this](std::size_t i) { return valid_[i]; });
-    w.sparseU64(pageSeq_.span());
-    w.podVec(writePtr_);
-    w.podVec(blockValid_);
-    w.podVec(eraseCnt_);
-    w.podVec(lastWriteSeq_);
-    w.u64(allocSeq_);
-    w.boolVec(isFree_);
-    w.boolVec(suspect_);
-    w.boolVec(retired_);
-    w.u32(freeCount_);
-    w.u32(retiredCount_);
-    w.i32(active_);
-    w.u64(totalErases_);
-    w.u64(programmed_);
-    w.u64(validUnits_);
-    w.u64(tornPages_);
+    fields(*this, w);
 }
 
 void
 BlockPool::load(core::BinReader &r)
 {
-    if (r.u32() != pageBytes_ || r.u32() != unitsPerPage_ ||
-        r.u32() != blocks_ || r.u32() != pagesPerBlock_) {
-        r.fail();
-        return;
-    }
-    // Translate the dense v1 tables forward, storing only what is
-    // non-zero in this pool's encoding.
+    // The table reads store only non-zero entries.
     lpns_.clear();
     valid_.clear();
     pageSeq_.clear();
-    r.podVecInto<Lpn>(lpns_.size(), [this](std::size_t i, Lpn lpn) {
-        if (lpn != kNoLpn)
-            lpns_[i] = encodeLpn(lpn);
-    });
-    r.podVecInto<std::uint8_t>(valid_.size(),
-                               [this](std::size_t i, std::uint8_t v) {
-                                   if (v != 0)
-                                       valid_[i] = v;
-                               });
-    r.sparseU64Into(pageSeq_.span());
-    r.podVec(writePtr_);
-    r.podVec(blockValid_);
-    r.podVec(eraseCnt_);
-    r.podVec(lastWriteSeq_);
-    allocSeq_ = r.u64();
-    r.boolVec(isFree_);
-    r.boolVec(suspect_);
-    r.boolVec(retired_);
-    freeCount_ = r.u32();
-    retiredCount_ = r.u32();
-    active_ = r.i32();
-    totalErases_ = r.u64();
-    programmed_ = r.u64();
-    validUnits_ = r.u64();
-    tornPages_ = r.u64();
-    if (writePtr_.size() != blocks_ || blockValid_.size() != blocks_ ||
-        eraseCnt_.size() != blocks_ || lastWriteSeq_.size() != blocks_ ||
-        isFree_.size() != blocks_ || suspect_.size() != blocks_ ||
-        retired_.size() != blocks_)
-        r.fail();
+    fields(*this, r);
 }
 
 } // namespace emmcsim::flash

@@ -263,6 +263,10 @@ class BlockPool
     static Lpn decodeLpn(std::int64_t v) { return Lpn{v - 1}; }
     /** @} */
 
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Zero all unit state (lpns, valid bits, seq) of block @p b. */
     void clearBlockPages(BlockId b);
 

@@ -50,19 +50,4 @@ PlaneAllocator::resetCursors()
     std::fill(cursor_.begin(), cursor_.end(), 0u);
 }
 
-void
-PlaneAllocator::save(core::BinWriter &w) const
-{
-    w.podVec(cursor_);
-}
-
-void
-PlaneAllocator::load(core::BinReader &r)
-{
-    const std::size_t pools = cursor_.size();
-    r.podVec(cursor_);
-    if (cursor_.size() != pools)
-        r.fail();
-}
-
 } // namespace emmcsim::ftl

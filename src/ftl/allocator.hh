@@ -61,11 +61,19 @@ class PlaneAllocator
     void resetCursors();
 
     /** @name Snapshot image (core/binio.hh). @{ */
-    void save(core::BinWriter &w) const;
-    void load(core::BinReader &r);
+    void save(core::BinWriter &w) const { fields(*this, w); }
+    void load(core::BinReader &r) { fields(*this, r); }
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void
+    fields(Self &self, IO &io)
+    {
+        io.fixedVec(self.cursor_);
+    }
+
     AllocPolicy policy_;
     std::uint32_t planeCount_;
     std::uint32_t dieCount_;

@@ -64,25 +64,27 @@ BadBlockManager::declareSpaceExhausted()
                      "device is now read-only");
 }
 
+template <typename Self, typename IO>
+void
+BadBlockManager::fields(Self &self, IO &io)
+{
+    io.fixedVec(self.retired_);
+    io.podVec(self.table_);
+    io.pod(self.stats_);
+    io.pod(self.readOnlyCause_);
+}
+
 void
 BadBlockManager::save(core::BinWriter &w) const
 {
-    w.podVec(retired_);
-    w.podVec(table_);
-    w.pod(stats_);
-    w.u8(static_cast<std::uint8_t>(readOnlyCause_));
+    fields(*this, w);
 }
 
 void
 BadBlockManager::load(core::BinReader &r)
 {
-    const std::size_t cells = retired_.size();
-    r.podVec(retired_);
-    r.podVec(table_);
-    r.pod(stats_);
-    readOnlyCause_ = static_cast<ReadOnlyCause>(r.u8());
-    if (retired_.size() != cells ||
-        readOnlyCause_ > ReadOnlyCause::SpaceExhaustion)
+    fields(*this, r);
+    if (readOnlyCause_ > ReadOnlyCause::SpaceExhaustion)
         r.fail();
 }
 

@@ -134,6 +134,10 @@ class BadBlockManager
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     BbmConfig cfg_;
     std::uint32_t pools_;
     /** Retired count per (plane, pool), flattened plane-major. */

@@ -444,42 +444,29 @@ Ftl::idleGcStep(sim::Time now, bool &did_work)
     return done;
 }
 
-sim::Time
-Ftl::idleGc(sim::Time now, sim::Time deadline)
+template <typename Self, typename IO>
+void
+Ftl::fields(Self &self, IO &io)
 {
-    sim::Time t = now;
-    while (t < deadline) {
-        bool did_work = false;
-        sim::Time done = gc_.idleStep(t, did_work);
-        if (!did_work)
-            break;
-        t = done;
-    }
-    return t - now;
+    io.nested(self.map_);
+    io.nested(self.alloc_);
+    io.nested(self.bbm_);
+    io.nested(self.journal_);
+    io.nested(self.gc_);
+    io.pod(self.stats_);
+    io.pod(self.lastHostProgram_);
 }
 
 void
 Ftl::save(core::BinWriter &w) const
 {
-    map_.save(w);
-    alloc_.save(w);
-    bbm_.save(w);
-    journal_.save(w);
-    gc_.save(w);
-    w.pod(stats_);
-    w.pod(lastHostProgram_);
+    fields(*this, w);
 }
 
 void
 Ftl::load(core::BinReader &r)
 {
-    map_.load(r);
-    alloc_.load(r);
-    bbm_.load(r);
-    journal_.load(r);
-    gc_.load(r);
-    r.pod(stats_);
-    r.pod(lastHostProgram_);
+    fields(*this, r);
 }
 
 } // namespace emmcsim::ftl

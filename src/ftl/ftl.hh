@@ -207,13 +207,6 @@ class Ftl
                       const std::vector<flash::Lpn> &lpns);
 
     /**
-     * Run idle garbage collection until @p deadline or until every
-     * pool meets the soft threshold.
-     * @return Flash-time consumed.
-     */
-    sim::Time idleGc(sim::Time now, sim::Time deadline);
-
-    /**
      * Run a single incremental idle-GC step (a few page relocations,
      * possibly an erase). The device calls this once per idle tick so
      * an arriving request waits at most one step.
@@ -292,6 +285,10 @@ class Ftl
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Fire the audit hook after a mutating operation. */
     void
     notifyAudit() const

@@ -420,17 +420,5 @@ GarbageCollector::idleStep(sim::Time earliest, bool &did_work)
     return done;
 }
 
-void
-GarbageCollector::save(core::BinWriter &w) const
-{
-    w.pod(stats_);
-}
-
-void
-GarbageCollector::load(core::BinReader &r)
-{
-    r.pod(stats_);
-}
-
 } // namespace emmcsim::ftl
 

@@ -130,11 +130,19 @@ class GarbageCollector
     const GcStats &stats() const { return stats_; }
 
     /** @name Snapshot image (counters only; no other state). @{ */
-    void save(core::BinWriter &w) const;
-    void load(core::BinReader &r);
+    void save(core::BinWriter &w) const { fields(*this, w); }
+    void load(core::BinReader &r) { fields(*this, r); }
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void
+    fields(Self &self, IO &io)
+    {
+        io.pod(self.stats_);
+    }
+
     /**
      * Pick the victim block in @p pool: a full, non-active block with
      * the fewest valid units.

@@ -144,32 +144,31 @@ MetaJournal::durableTrimSeq(flash::Lpn lpn) const
     return trimSeq_[static_cast<std::size_t>(lpn.value())];
 }
 
+template <typename Self, typename IO>
+void
+MetaJournal::fields(Self &self, IO &io)
+{
+    io.pod(self.stats_);
+    io.pod(self.seq_);
+    io.pod(self.durableSeq_);
+    io.pod(self.openRecords_);
+    io.pod(self.recordsSinceCheckpoint_);
+    io.pod(self.pagesSinceCheckpoint_);
+    io.pod(self.checkpointPages_);
+    io.pod(self.lastEraseDone_);
+    io.sparseU64(self.trimSeq_);
+}
+
 void
 MetaJournal::save(core::BinWriter &w) const
 {
-    w.pod(stats_);
-    w.u64(seq_);
-    w.u64(durableSeq_);
-    w.u32(openRecords_);
-    w.u64(recordsSinceCheckpoint_);
-    w.u64(pagesSinceCheckpoint_);
-    w.u64(checkpointPages_);
-    w.i64(lastEraseDone_);
-    w.sparseU64(trimSeq_);
+    fields(*this, w);
 }
 
 void
 MetaJournal::load(core::BinReader &r)
 {
-    r.pod(stats_);
-    seq_ = r.u64();
-    durableSeq_ = r.u64();
-    openRecords_ = r.u32();
-    recordsSinceCheckpoint_ = r.u64();
-    pagesSinceCheckpoint_ = r.u64();
-    checkpointPages_ = r.u64();
-    lastEraseDone_ = r.i64();
-    r.sparseU64(trimSeq_);
+    fields(*this, r);
     if (!trimSeq_.empty() && trimSeq_.size() != map_.logicalUnits())
         r.fail();
 }

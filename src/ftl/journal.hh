@@ -163,6 +163,10 @@ class MetaJournal
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Append one record: bump seq, flush the page when it fills. */
     std::uint64_t append();
 

@@ -74,27 +74,28 @@ PageMap::reset()
     mappedCount_ = 0;
 }
 
+template <typename Self, typename IO>
 void
-PageMap::save(core::BinWriter &w) const
+PageMap::fields(Self &self, IO &io)
 {
     // Snapshot layout v1: the dense table with planeLinear = -1 for
     // unmapped entries.
-    w.podVecOf<MapEntry>(entries_.size(), [this](std::size_t i) {
-        return decode(entries_[i]);
-    });
-    w.u64(mappedCount_);
+    io.podTable(self.entries_, decode, encode);
+    io.pod(self.mappedCount_);
+}
+
+void
+PageMap::save(core::BinWriter &w) const
+{
+    fields(*this, w);
 }
 
 void
 PageMap::load(core::BinReader &r)
 {
+    // The table read stores only mapped entries.
     entries_.clear();
-    r.podVecInto<MapEntry>(entries_.size(),
-                           [this](std::size_t i, const MapEntry &e) {
-                               if (e.mapped())
-                                   entries_[i] = encode(e);
-                           });
-    mappedCount_ = r.u64();
+    fields(*this, r);
 }
 
 } // namespace emmcsim::ftl

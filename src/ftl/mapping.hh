@@ -77,6 +77,10 @@ class PageMap
     /** @} */
 
   private:
+    /** The snapshot layout, walked by both save() and load(). */
+    template <typename Self, typename IO>
+    static void fields(Self &self, IO &io);
+
     /** Slot index of @p lpn; asserts it is in range. */
     std::size_t slot(flash::Lpn lpn) const;
 

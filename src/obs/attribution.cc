@@ -5,6 +5,7 @@
 
 #include "emmc/device.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace emmcsim::obs {
 
@@ -13,27 +14,11 @@ namespace {
 /** Response-time quantiles the tail slices are cut at. */
 constexpr std::array<double, 4> kTailQuantiles = {50.0, 95.0, 99.0, 99.9};
 
-/**
- * Nearest-rank percentile over a sorted ascending vector; mirrors
- * sim::Percentiles::percentile so attribution thresholds agree with
- * the rest of the reporting stack.
- */
-sim::Time
-rankPercentile(const std::vector<sim::Time> &sorted, double p)
+/** Nearest-rank percentile of the ascending @p sorted, in ms. */
+double
+percentileMs(const std::vector<sim::Time> &sorted, double p)
 {
-    if (sorted.empty())
-        return 0;
-    if (p <= 0.0)
-        return sorted.front();
-    const auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::max(1.0, (p / 100.0) * n));
-    // Guard fp rounding: ceil-free nearest rank, clamped to the range.
-    if (rank < sorted.size() &&
-        (static_cast<double>(rank) * 100.0) / n < p) {
-        ++rank;
-    }
-    rank = std::min(rank, sorted.size());
-    return sorted[rank - 1];
+    return sim::toMilliseconds(sim::percentile<sim::Time>(sorted, p));
 }
 
 } // namespace
@@ -104,10 +89,10 @@ AttributionRecorder::summarize() const
         d.totalMs = sim::toMilliseconds(total);
         d.meanMs = d.totalMs / dn;
         d.maxMs = sim::toMilliseconds(max);
-        d.p50Ms = sim::toMilliseconds(rankPercentile(sorted, 50.0));
-        d.p95Ms = sim::toMilliseconds(rankPercentile(sorted, 95.0));
-        d.p99Ms = sim::toMilliseconds(rankPercentile(sorted, 99.0));
-        d.p999Ms = sim::toMilliseconds(rankPercentile(sorted, 99.9));
+        d.p50Ms = percentileMs(sorted, 50.0);
+        d.p95Ms = percentileMs(sorted, 95.0);
+        d.p99Ms = percentileMs(sorted, 99.0);
+        d.p999Ms = percentileMs(sorted, 99.9);
     };
 
     for (std::size_t p = 0; p < emmc::kPhaseCount; ++p)
@@ -119,7 +104,7 @@ AttributionRecorder::summarize() const
     for (double q : kTailQuantiles) {
         TailSlice slice;
         slice.quantile = q;
-        const sim::Time threshold = rankPercentile(sorted, q);
+        const sim::Time threshold = sim::percentile<sim::Time>(sorted, q);
         slice.thresholdMs = sim::toMilliseconds(threshold);
         std::array<sim::Time, emmc::kPhaseCount> sums{};
         for (const Rec &r : recs_) {

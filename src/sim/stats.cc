@@ -128,15 +128,12 @@ Histogram::percentileEstimate(double p) const
     if (total_ == 0)
         return 0.0;
     // Nearest-rank target, then linear interpolation within the
-    // bucket that holds it (the same convention Percentiles uses, so
-    // estimates converge on the exact answer as buckets shrink).
-    // p=0 maps to rank 1 with no interpolation offset: the estimate
-    // is the lower edge of the first occupied bucket, matching
-    // Percentiles::percentile(0) returning the minimum sample.
-    auto rank = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(total_)));
-    if (rank == 0)
-        rank = 1;
+    // bucket that holds it (the rank percentile() uses, so estimates
+    // converge on the exact answer as buckets shrink). p=0 maps to
+    // rank 1 with no interpolation offset: the estimate is the lower
+    // edge of the first occupied bucket, matching percentile() of the
+    // minimum sample.
+    const std::uint64_t rank = nearestRank(p, total_);
     std::uint64_t before = 0;
     for (std::size_t i = 0; i < counts_.size(); ++i) {
         if (counts_[i] == 0)
@@ -166,49 +163,21 @@ Histogram::reset()
     total_ = 0;
 }
 
-void
-Percentiles::add(double x)
-{
-    values_.push_back(x);
-    sorted_ = false;
-}
-
-void
-Percentiles::merge(const Percentiles &other)
-{
-    if (other.values_.empty())
-        return;
-    if (&other == this) {
-        // Self-merge doubles every sample; copy first because insert
-        // from the growing vector itself would invalidate iterators.
-        std::vector<double> copy = values_;
-        values_.insert(values_.end(), copy.begin(), copy.end());
-    } else {
-        values_.insert(values_.end(), other.values_.begin(),
-                       other.values_.end());
-    }
-    sorted_ = false;
-}
-
-double
-Percentiles::percentile(double p) const
+std::size_t
+nearestRank(double p, std::size_t n)
 {
     EMMCSIM_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
-    if (values_.empty())
-        return 0.0;
-    if (!sorted_) {
-        std::sort(values_.begin(), values_.end());
-        sorted_ = true;
-    }
-    if (p <= 0.0)
-        return values_.front();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(values_.size())));
-    if (rank == 0)
-        rank = 1;
-    if (rank > values_.size())
-        rank = values_.size();
-    return values_[rank - 1];
+    if (n == 0)
+        return 0;
+    // Not ceil(p / 100 * n): the product can round up past an exact
+    // integer (p99.9 of 1000 samples gives 999.0000000000001), which
+    // lands one rank too high. Truncate, then step up only when the
+    // rank's own percentage is still below p.
+    const auto dn = static_cast<double>(n);
+    auto rank = static_cast<std::size_t>(std::max(1.0, p / 100.0 * dn));
+    if (rank < n && static_cast<double>(rank) * 100.0 / dn < p)
+        ++rank;
+    return std::min(rank, n);
 }
 
 std::string

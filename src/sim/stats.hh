@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,12 +118,12 @@ class Histogram
      * inside it. The first bucket interpolates from min(0, bound);
      * samples landing in the open-ended overflow bucket report the
      * last finite bound (the estimate saturates there — callers that
-     * need an exact tail must keep the samples, e.g. Percentiles).
+     * need an exact tail must keep the samples, see percentile()).
      *
      * Edge cases are pinned down because sweep workers merge these
      * into figure tails: an empty histogram returns 0 for every p;
      * p=0 returns the lower edge of the first occupied bucket
-     * (mirroring Percentiles::percentile(0) = min); p=100 returns
+     * (mirroring percentile(sorted, 0) = min); p=100 returns
      * the upper bound of the last occupied bucket (saturating to the
      * last finite bound for overflow samples); a single sample
      * reports its bucket's upper bound for every p > 0.
@@ -147,43 +148,26 @@ class Histogram
 };
 
 /**
- * Exact percentile calculator: stores all samples, sorts on demand.
- * Suited to trace-sized data sets (tens of thousands of samples).
+ * 1-based nearest rank of percentile @p p among @p n sorted samples:
+ * the smallest r with r / n >= p / 100, and 1 for p = 0. 0 when
+ * @p n is 0.
+ *
+ * @param p in [0, 100] (asserted).
  */
-class Percentiles
+std::size_t nearestRank(double p, std::size_t n);
+
+/**
+ * Nearest-rank percentile of @p sorted (ascending): p=0 is the
+ * minimum, p=100 the maximum, and a single sample is every
+ * percentile. T{} when empty.
+ */
+template <typename T>
+T
+percentile(std::span<const T> sorted, double p)
 {
-  public:
-    Percentiles() = default;
-
-    /** Add one sample. */
-    void add(double x);
-
-    /**
-     * Fold another calculator's samples into this one. Empty operands
-     * are identities and the fold is exactly associative (it only
-     * concatenates samples), so sweep aggregation order is free.
-     */
-    void merge(const Percentiles &other);
-
-    /**
-     * Percentile by nearest-rank: p=0 returns the minimum sample,
-     * p=100 the maximum, and a single sample is every percentile.
-     * Sorts lazily through mutable state, so concurrent calls on one
-     * shared instance are not safe — sweep workers each own their
-     * accumulator and merge on the collecting thread.
-     *
-     * @param p in [0, 100] (asserted). Returns 0 when no samples
-     *        were added.
-     */
-    double percentile(double p) const;
-
-    /** Number of stored samples. */
-    std::size_t count() const { return values_.size(); }
-
-  private:
-    mutable std::vector<double> values_;
-    mutable bool sorted_ = true;
-};
+    const std::size_t rank = nearestRank(p, sorted.size());
+    return rank == 0 ? T{} : sorted[rank - 1];
+}
 
 /** Format @p x with @p decimals digits (reporting helper). */
 std::string formatDouble(double x, int decimals);

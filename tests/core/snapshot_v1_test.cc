@@ -167,3 +167,29 @@ TEST(SnapshotV1, LoadReplacesEarlierState)
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(saveImage(*dev), fresh);
 }
+
+TEST(SnapshotV1, EveryTruncationFailsCleanly)
+{
+    // Every strict prefix of a committed image, loaded into a fresh
+    // device, must leave the reader failed (or bytes over) without
+    // crashing. Under ASan and forced DCHECKs this sweeps each field
+    // read of every snapshotted class through its short-image path.
+    for (const char *name :
+         {"snapshot_v1_fresh.bin", "snapshot_v1_aged.bin"}) {
+        const std::string image = readData(name);
+        ASSERT_FALSE(image.empty()) << name;
+        std::size_t accepted = 0;
+        for (std::size_t n = 0; n < image.size(); ++n) {
+            sim::Simulator s;
+            auto dev = tinyHpsDevice(s);
+            core::BinReader r(std::string_view(image).substr(0, n));
+            dev->load(r);
+            if (r.ok() && r.remaining() == 0) {
+                ADD_FAILURE() << name << " prefix of " << n
+                              << " bytes loads as a whole image";
+                ++accepted;
+            }
+        }
+        EXPECT_EQ(accepted, 0u) << name;
+    }
+}

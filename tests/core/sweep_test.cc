@@ -5,6 +5,7 @@
  * aggregate artifacts are byte-identical for any worker count.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -16,6 +17,7 @@
 
 #include "core/sweep.hh"
 #include "obs/report.hh"
+#include "sim/stats.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -173,30 +175,33 @@ TEST(SweepDeterminismTest, ScalarResultsIdenticalAcrossWorkerCounts)
 
 TEST(SweepDeterminismTest, MergedAggregatesMatchSerialAggregation)
 {
-    // The sweep's per-worker accumulators are merged on the collector
-    // thread; folding per-case percentiles in any grouping must match
-    // the all-in-one aggregation.
+    // The sweep's per-case samples are pooled on the collector
+    // thread; pooling them in any grouping must give the all-in-one
+    // percentiles.
     const trace::Trace t = smallTrace();
     const std::vector<core::SweepCase> cases = schemeCases(t);
     const std::vector<core::CaseResult> results =
         core::runCases(cases, 4);
 
-    sim::Percentiles all;
-    sim::Percentiles left;
-    sim::Percentiles right;
+    std::vector<double> all;
+    std::vector<double> left;
+    std::vector<double> right;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        sim::Percentiles one;
-        for (const auto &r : results[i].replayed.records())
-            one.add(sim::toMilliseconds(r.finish - r.arrival));
-        all.merge(one);
-        (i % 2 == 0 ? left : right).merge(one);
+        for (const auto &r : results[i].replayed.records()) {
+            const double ms = sim::toMilliseconds(r.finish - r.arrival);
+            all.push_back(ms);
+            (i % 2 == 0 ? left : right).push_back(ms);
+        }
     }
-    sim::Percentiles grouped;
-    grouped.merge(left);
-    grouped.merge(right);
-    ASSERT_EQ(grouped.count(), all.count());
-    for (double p : {0.0, 50.0, 95.0, 99.0, 100.0})
-        EXPECT_EQ(grouped.percentile(p), all.percentile(p));
+    std::vector<double> grouped = right;
+    grouped.insert(grouped.end(), left.begin(), left.end());
+    std::sort(all.begin(), all.end());
+    std::sort(grouped.begin(), grouped.end());
+    ASSERT_EQ(grouped.size(), all.size());
+    for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+        EXPECT_EQ(sim::percentile<double>(grouped, p),
+                  sim::percentile<double>(all, p));
+    }
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -155,37 +157,51 @@ TEST(Histogram, NoBoundsMeansSingleBucket)
 
 TEST(Percentiles, EmptyReturnsZero)
 {
-    Percentiles p;
-    EXPECT_DOUBLE_EQ(p.percentile(50), 0.0);
+    const std::vector<double> none;
+    EXPECT_DOUBLE_EQ(percentile<double>(none, 50), 0.0);
 }
+
+namespace {
+
+/** The ascending samples lo, lo + 1, ..., hi. */
+std::vector<double>
+ascending(int lo, int hi)
+{
+    std::vector<double> v;
+    for (int i = lo; i <= hi; ++i)
+        v.push_back(i);
+    return v;
+}
+
+} // namespace
 
 TEST(Percentiles, NearestRank)
 {
-    Percentiles p;
-    for (int i = 1; i <= 100; ++i)
-        p.add(i);
-    EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(p.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(p.percentile(95), 95.0);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 100.0);
+    const std::vector<double> v = ascending(1, 100);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 0), 1.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 50), 50.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 95), 95.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 100), 100.0);
 }
 
 TEST(Percentiles, UnsortedInput)
 {
-    Percentiles p;
-    for (double x : {5.0, 1.0, 4.0, 2.0, 3.0})
-        p.add(x);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 5.0);
-    EXPECT_DOUBLE_EQ(p.percentile(20), 1.0);
+    // percentile() reads a sorted span: callers sort first, as
+    // runCase does. p20 of 5 samples sits exactly on rank 1.
+    std::vector<double> v = {5.0, 1.0, 4.0, 2.0, 3.0};
+    std::sort(v.begin(), v.end());
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 100), 5.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 20), 1.0);
 }
 
-TEST(Percentiles, AddAfterQueryStillWorks)
+TEST(Percentiles, P999OfAThousandIsNotOneRankHigh)
 {
-    Percentiles p;
-    p.add(1.0);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 1.0);
-    p.add(10.0);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 10.0);
+    // 99.9 / 100 * 1000 rounds to 999.0000000000001; ceil() of that
+    // is rank 1000.
+    const std::vector<double> v = ascending(1, 1000);
+    EXPECT_EQ(nearestRank(99.9, 1000), 999u);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 99.9), 999.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(v, 99.95), 1000.0);
 }
 
 TEST(FormatDouble, FixedDecimals)
@@ -193,41 +209,6 @@ TEST(FormatDouble, FixedDecimals)
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
     EXPECT_EQ(formatDouble(2.0, 0), "2");
     EXPECT_EQ(formatDouble(-1.5, 1), "-1.5");
-}
-
-TEST(Percentiles, MergeCombinesSamples)
-{
-    Percentiles a;
-    Percentiles b;
-    for (int i = 1; i <= 50; ++i)
-        a.add(i);
-    for (int i = 51; i <= 100; ++i)
-        b.add(i);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(a.percentile(100), 100.0);
-    // The source is untouched.
-    EXPECT_DOUBLE_EQ(b.percentile(0), 51.0);
-}
-
-TEST(Percentiles, MergeEmptyIsNoop)
-{
-    Percentiles a;
-    a.add(7.0);
-    Percentiles empty;
-    a.merge(empty);
-    EXPECT_DOUBLE_EQ(a.percentile(100), 7.0);
-}
-
-TEST(Percentiles, SelfMergeDoublesSamples)
-{
-    Percentiles a;
-    a.add(1.0);
-    a.add(2.0);
-    a.merge(a);
-    EXPECT_DOUBLE_EQ(a.percentile(100), 2.0);
-    // 4 samples now: nearest-rank p50 is the 2nd.
-    EXPECT_DOUBLE_EQ(a.percentile(50), 1.0);
 }
 
 TEST(HistogramPercentile, EmptyIsZero)
@@ -266,6 +247,14 @@ TEST(HistogramPercentile, SpreadSamplesOrdered)
     EXPECT_LE(p99, 8.0);
 }
 
+TEST(HistogramPercentile, P999IsNotOneRankHigh)
+{
+    // 1000 samples in [0, 10): rank 999 of 1000 interpolates to 9.99.
+    Histogram h({10.0});
+    h.addN(5.0, 1000);
+    EXPECT_DOUBLE_EQ(h.percentileEstimate(99.9), 9.99);
+}
+
 TEST(HistogramPercentile, OverflowBucketClampsToLastBound)
 {
     Histogram h({1.0, 2.0});
@@ -275,7 +264,7 @@ TEST(HistogramPercentile, OverflowBucketClampsToLastBound)
 
 TEST(HistogramPercentile, ZeroPercentileIsLowerEdge)
 {
-    // p=0 mirrors Percentiles::percentile(0) = min: the lower edge of
+    // p=0 mirrors percentile(sorted, 0) = min: the lower edge of
     // the first occupied bucket, not an interpolated interior point.
     Histogram h({1.0, 2.0, 4.0});
     h.addN(1.5, 10);
@@ -305,18 +294,17 @@ TEST(HistogramPercentile, EmptyIsZeroForAllP)
 
 TEST(Percentiles, SingleSampleEveryPercentile)
 {
-    Percentiles p;
-    p.add(3.5);
-    EXPECT_DOUBLE_EQ(p.percentile(0), 3.5);
-    EXPECT_DOUBLE_EQ(p.percentile(50), 3.5);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 3.5);
+    const std::vector<double> one = {3.5};
+    EXPECT_DOUBLE_EQ(percentile<double>(one, 0), 3.5);
+    EXPECT_DOUBLE_EQ(percentile<double>(one, 50), 3.5);
+    EXPECT_DOUBLE_EQ(percentile<double>(one, 100), 3.5);
 }
 
 TEST(Percentiles, EmptyReturnsZeroAtExtremes)
 {
-    Percentiles p;
-    EXPECT_DOUBLE_EQ(p.percentile(0), 0.0);
-    EXPECT_DOUBLE_EQ(p.percentile(100), 0.0);
+    const std::vector<double> none;
+    EXPECT_DOUBLE_EQ(percentile<double>(none, 0), 0.0);
+    EXPECT_DOUBLE_EQ(percentile<double>(none, 100), 0.0);
 }
 
 // The sweep aggregates per-worker accumulators in whatever grouping
@@ -374,38 +362,3 @@ TEST(OnlineStats, MergeIsAssociative)
     EXPECT_NEAR(a1.sum(), a2.sum(), 1e-9);
 }
 
-TEST(Percentiles, MergeIsAssociativeAndOrderFree)
-{
-    auto fill = [](Percentiles &p, int lo, int hi) {
-        for (int i = lo; i < hi; ++i)
-            p.add(i);
-    };
-    Percentiles a1, b1, c1, a2, b2, c2;
-    fill(a1, 0, 10);
-    fill(a2, 0, 10);
-    fill(b1, 10, 35);
-    fill(b2, 10, 35);
-    fill(c1, 35, 60);
-    fill(c2, 35, 60);
-
-    a1.merge(b1);
-    a1.merge(c1);
-    b2.merge(c2);
-    a2.merge(b2);
-
-    ASSERT_EQ(a1.count(), a2.count());
-    for (double p : {0.0, 25.0, 50.0, 75.0, 100.0})
-        EXPECT_DOUBLE_EQ(a1.percentile(p), a2.percentile(p));
-}
-
-TEST(Percentiles, MergeIntoEmptyIsIdentity)
-{
-    Percentiles src;
-    for (double x : {3.0, 1.0, 2.0})
-        src.add(x);
-    Percentiles dst;
-    dst.merge(src);
-    EXPECT_EQ(dst.count(), src.count());
-    EXPECT_DOUBLE_EQ(dst.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(dst.percentile(100), 3.0);
-}

@@ -110,27 +110,17 @@ registerSimulatorCheckers(Auditor &auditor,
 }
 
 DeviceAuditor::DeviceAuditor(sim::Simulator &simulator,
-                             emmc::EmmcDevice &device,
+                             const emmc::EmmcDevice &device,
                              const AuditOptions &opts)
-    : sim_(simulator), device_(device)
+    : sim_(simulator)
 {
     registerSimulatorCheckers(auditor_, sim_);
-    registerDeviceCheckers(auditor_, device_);
+    registerDeviceCheckers(auditor_, device);
 
     if (opts.everyEvents > 0) {
         simHook_ = sim_.addPostEventHook(
             [this](const sim::Simulator &) { auditor_.runAll(); },
             opts.everyEvents);
-    }
-    if (opts.onCommandFinish) {
-        device_.setAuditHook(
-            [this](const emmc::EmmcDevice &) { auditor_.runAll(); });
-        attachedDevice_ = true;
-    }
-    if (opts.onFtlMutation) {
-        device_.ftl().setAuditHook(
-            [this](const ftl::Ftl &) { auditor_.runAll(); });
-        attachedFtl_ = true;
     }
 }
 
@@ -145,14 +135,6 @@ DeviceAuditor::detach()
     if (simHook_ != 0) {
         sim_.removePostEventHook(simHook_);
         simHook_ = 0;
-    }
-    if (attachedDevice_) {
-        device_.setAuditHook(nullptr);
-        attachedDevice_ = false;
-    }
-    if (attachedFtl_) {
-        device_.ftl().setAuditHook(nullptr);
-        attachedFtl_ = false;
     }
 }
 

@@ -107,27 +107,23 @@ void registerSimulatorCheckers(Auditor &auditor,
 /** When DeviceAuditor triggers audits beyond explicit calls. */
 struct AuditOptions
 {
-    /** Full audit every N executed events (0 disables). */
-    std::uint64_t everyEvents = 0;
-    /** Full audit at every command completion. */
-    bool onCommandFinish = false;
     /**
-     * Full audit after every FTL mutation (write, trim, GC step).
-     * Exhaustive but slow; meant for small test devices.
+     * Full audit every N executed events (0 disables). 1 audits after
+     * every event, command completions included; exhaustive but slow,
+     * meant for small test devices.
      */
-    bool onFtlMutation = false;
+    std::uint64_t everyEvents = 0;
 };
 
 /**
- * Drives periodic audits of one (simulator, device) pair through the
- * debug hooks. Installs its hooks on construction and removes them on
- * destruction or detach(); at most one DeviceAuditor may watch a
- * given simulator/device at a time (the hooks are single-slot).
+ * Drives periodic audits of one (simulator, device) pair through a
+ * simulator post-event hook. Installs the hook on construction and
+ * removes it on destruction or detach().
  */
 class DeviceAuditor
 {
   public:
-    DeviceAuditor(sim::Simulator &simulator, emmc::EmmcDevice &device,
+    DeviceAuditor(sim::Simulator &simulator, const emmc::EmmcDevice &device,
                   const AuditOptions &opts = {});
     ~DeviceAuditor();
 
@@ -143,17 +139,14 @@ class DeviceAuditor
 
     const AuditReport &report() const { return auditor_.report(); }
 
-    /** Remove the installed hooks (idempotent). */
+    /** Remove the installed hook (idempotent). */
     void detach();
 
   private:
     sim::Simulator &sim_;
-    emmc::EmmcDevice &device_;
     Auditor auditor_;
     /** Simulator hook handle; 0 when not attached. */
     sim::Simulator::HookId simHook_ = 0;
-    bool attachedDevice_ = false;
-    bool attachedFtl_ = false;
 };
 
 /**

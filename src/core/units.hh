@@ -470,6 +470,19 @@ blockFirstPage(BlockId b, std::uint32_t pages_per_block)
     return PageNo{static_cast<std::uint64_t>(b.value()) *
                   pages_per_block};
 }
+
+/**
+ * Fold a span of @p span units starting at unit @p unit into a device
+ * exporting @p capacity units: a span that would run past the end
+ * restarts at unit % (capacity - span + 1), the largest modulus that
+ * keeps the whole span inside. Spans that fit are left alone. The
+ * caller must reject span > capacity, which no fold can place.
+ */
+constexpr std::uint64_t
+foldUnit(std::uint64_t unit, std::uint64_t span, std::uint64_t capacity)
+{
+    return unit + span > capacity ? unit % (capacity - span + 1) : unit;
+}
 /** @} */
 
 } // namespace emmcsim::units

@@ -70,12 +70,10 @@ EmmcDevice::startNext()
     const sim::Time now = sim_.now();
 
     // Decide how many head requests ride this command (packed writes).
-    // Scratch containers are members so a long replay reuses their
-    // storage instead of reallocating per command.
-    scratchHead_.clear();
-    for (const Queued &q : queue_)
-        scratchHead_.push_back(q.request);
-    std::size_t count = packer_.packCount(scratchHead_);
+    const std::size_t count =
+        packer_.packCount(queue_, [](const Queued &q) -> const IoRequest & {
+            return q.request;
+        });
 
     std::vector<CompletedRequest> cmd = std::move(scratchCmd_);
     cmd.clear();
@@ -232,19 +230,8 @@ EmmcDevice::serveWrite(const IoRequest &r, sim::Time begin,
     bool accepted = true;
     sim::Time done = begin;
     if (!buffer_.enabled()) {
-        // Attribution: the page group finishing last is the critical
-        // chain; the others overlapped it on other planes/channels.
         ftl::FlashBreakdown chain;
-        scratchGroups_.clear();
-        dist_->splitWrite(first, n, scratchGroups_);
-        for (const ftl::PageGroup &g : scratchGroups_) {
-            ftl::WriteResult w = ftl_.writeGroup(g.pool, g.lpns, begin);
-            accepted = accepted && w.accepted;
-            if (w.done > done) {
-                done = w.done;
-                chain = w.chain;
-            }
-        }
+        done = writeRun(first, n, begin, accepted, chain);
         chargeChain(phases, chain, Phase::NandProgram);
     } else if (ftl_.readOnly()) {
         // Refuse to buffer data that can never reach flash.
@@ -265,19 +252,36 @@ EmmcDevice::serveWrite(const IoRequest &r, sim::Time begin,
 }
 
 sim::Time
+EmmcDevice::writeRun(flash::Lpn first, std::uint32_t n, sim::Time begin,
+                     bool &accepted, ftl::FlashBreakdown &chain)
+{
+    // Attribution: the page group finishing last is the critical
+    // chain; the others overlapped it on other planes/channels.
+    sim::Time done = begin;
+    scratchGroups_.clear();
+    dist_->splitWrite(first, n, scratchGroups_);
+    for (const ftl::PageGroup &g : scratchGroups_) {
+        ftl::WriteResult w = ftl_.writeGroup(g.pool, g.lpns, begin);
+        accepted = accepted && w.accepted;
+        if (w.done > done) {
+            done = w.done;
+            chain = w.chain;
+        }
+    }
+    return done;
+}
+
+sim::Time
 EmmcDevice::flushRuns(const std::vector<UnitRun> &runs, sim::Time begin,
                       bool &accepted)
 {
+    // Buffer write-back is charged wholesale; no chain is kept.
     sim::Time done = begin;
-    for (const UnitRun &run : runs) {
-        scratchGroups_.clear();
-        dist_->splitWrite(run.first, run.count, scratchGroups_);
-        for (const ftl::PageGroup &g : scratchGroups_) {
-            ftl::WriteResult w = ftl_.writeGroup(g.pool, g.lpns, begin);
-            accepted = accepted && w.accepted;
-            done = std::max(done, w.done);
-        }
-    }
+    ftl::FlashBreakdown chain;
+    for (const UnitRun &run : runs)
+        done = std::max(done,
+                        writeRun(run.first, run.count, begin, accepted,
+                                 chain));
     return done;
 }
 
@@ -332,10 +336,6 @@ EmmcDevice::finishCommand(std::vector<CompletedRequest> done)
                                [this] { idleGcTick(); });
         }
     }
-    // Audit after the queue settled: the device is either busy with
-    // the next command or idle with an empty queue.
-    if (auditHook_)
-        auditHook_(*this);
 }
 
 void

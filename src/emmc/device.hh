@@ -131,18 +131,6 @@ class EmmcDevice
         onComplete_ = std::move(cb);
     }
 
-    /** Hook invoked after each completed command (audit support). */
-    using AuditHook = std::function<void(const EmmcDevice &)>;
-
-    /**
-     * Install a debug hook fired at every command completion, after
-     * the per-request lifecycle checks. The audit subsystem uses it to
-     * revalidate queue and statistics bookkeeping at command
-     * granularity; a null @p hook uninstalls. The hook must not
-     * mutate the device.
-     */
-    void setAuditHook(AuditHook hook) { auditHook_ = std::move(hook); }
-
     /** Observer fired once per completed request (obs support). */
     using TraceHook = std::function<void(const CompletedRequest &)>;
 
@@ -297,7 +285,18 @@ class EmmcDevice
                          RequestStatus &status, PhaseLedger &phases);
 
     /**
-     * Flush a run of dirty buffer units to flash. Clears @p accepted
+     * Split @p n units from @p first into the scheme's page groups and
+     * program them, all starting no earlier than @p begin. Clears
+     * @p accepted when any group was rejected (read-only device) and
+     * sets @p chain to the breakdown of the group finishing last (left
+     * alone when none finishes after @p begin).
+     * @return Completion time of the last group (>= @p begin).
+     */
+    sim::Time writeRun(flash::Lpn first, std::uint32_t n, sim::Time begin,
+                       bool &accepted, ftl::FlashBreakdown &chain);
+
+    /**
+     * Flush runs of dirty buffer units to flash. Clears @p accepted
      * when any group was rejected (read-only device).
      */
     sim::Time flushRuns(const std::vector<UnitRun> &runs,
@@ -352,11 +351,9 @@ class EmmcDevice
 
     DeviceStats stats_;
     CompletionCallback onComplete_;
-    AuditHook auditHook_;
     TraceHook traceHook_;
 
     std::vector<ftl::PageGroup> scratchGroups_;
-    std::deque<IoRequest> scratchHead_;   ///< packCount argument reuse
     std::vector<CompletedRequest> scratchCmd_; ///< command batch reuse
 };
 

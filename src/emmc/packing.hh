@@ -13,10 +13,11 @@
 #define EMMCSIM_EMMC_PACKING_HH
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 
 #include "core/binio.hh"
 #include "emmc/request.hh"
+#include "sim/logging.hh"
 
 namespace emmcsim::emmc {
 
@@ -47,12 +48,42 @@ class WritePacker
      * Number of head-of-queue requests to serve as one command.
      *
      * Packs the maximal run of write requests at the head subject to
-     * the request/byte caps; a read at the head is never packed.
+     * the request/byte caps; a read at the head is never packed. Reads
+     * at most maxRequests + 1 entries.
      *
-     * @param queue Device queue; must be non-empty.
+     * @param queue   Device queue; must be non-empty.
+     * @param request Maps a queue entry to its IoRequest.
      * @return Count >= 1 of head requests to dispatch together.
      */
-    std::size_t packCount(const std::deque<IoRequest> &queue);
+    template <typename Queue, typename Proj = std::identity>
+    std::size_t
+    packCount(const Queue &queue, Proj request = {})
+    {
+        EMMCSIM_ASSERT(!queue.empty(), "packCount on empty queue");
+        if (!cfg_.enabled || !std::invoke(request, queue.front()).write)
+            return 1;
+
+        std::size_t count = 0;
+        units::Bytes bytes{0};
+        for (const auto &entry : queue) {
+            const IoRequest &r = std::invoke(request, entry);
+            if (!r.write)
+                break;
+            if (count >= cfg_.maxRequests)
+                break;
+            if (count > 0 && bytes + r.sizeBytes > cfg_.maxBytes)
+                break;
+            bytes += r.sizeBytes;
+            ++count;
+        }
+        if (count == 0)
+            count = 1;
+        if (count > 1) {
+            ++stats_.packedCommands;
+            stats_.packedRequests += count;
+        }
+        return count;
+    }
 
     const PackingConfig &config() const { return cfg_; }
     const PackingStats &stats() const { return stats_; }

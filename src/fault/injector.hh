@@ -14,9 +14,9 @@
  *
  * Neutrality contract: a disabled injector (FaultConfig::enabled ==
  * false, the default) draws nothing and reports nothing, and the
- * flash array never consults it — the simulated timing and results of
- * a fault-free run are bit-identical to a build without this
- * subsystem.
+ * device never attaches it to the flash array — the simulated timing
+ * and results of a fault-free run are bit-identical to a build
+ * without this subsystem.
  */
 
 #ifndef EMMCSIM_FAULT_INJECTOR_HH

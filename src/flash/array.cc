@@ -53,158 +53,93 @@ FlashArray::reserveArray(std::size_t idx, sim::Time t, sim::Time dur)
     return start;
 }
 
-fault::ReadFault
-FlashArray::evalReadFault(const PageAddr &addr)
-{
-    if (fault_ == nullptr || !fault_->enabled())
-        return {};
-    const BlockPool &bp =
-        planes_.at(planeLinear(geom_, addr)).pool(addr.pool);
-    return fault_->onRead(bp.eraseCount(BlockId{addr.block}),
-                          bp.blockAge(BlockId{addr.block}));
-}
-
 OpResult
-FlashArray::read(const PageAddr &addr, sim::Time earliest,
-                 units::Bytes transfer_bytes)
+FlashArray::issue(OpKind kind, const PageAddr &addr, sim::Time earliest,
+                  units::Bytes transfer_bytes)
 {
-    const auto &pt = timing_.pools.at(addr.pool);
-    const std::uint32_t page_bytes = geom_.pools.at(addr.pool).pageBytes;
-    std::uint64_t bytes = transfer_bytes.value() == 0
-                              ? page_bytes
-                              : std::min<std::uint64_t>(
-                                    transfer_bytes.value(), page_bytes);
+    const PageTiming &pt = timing_.pools.at(addr.pool);
+    const bool sense = kind == OpKind::Read || kind == OpKind::CopybackRead;
+    const sim::Time base_cell = kind == OpKind::Erase ? timing_.eraseLatency
+                                : sense               ? pt.readLatency
+                                                      : pt.programLatency;
 
-    // Each retry level re-senses the page with shifted read voltages,
-    // extending the array occupancy; the data crosses the channel once
-    // (either the finally-corrected page or the failed read-out).
-    const fault::ReadFault rf = evalReadFault(addr);
-    sim::Time sense = pt.readLatency;
-    if (rf.retries > 0)
-        sense += static_cast<sim::Time>(rf.retries) *
-                 fault_->config().readRetryLatency;
-
-    // Array senses the page first, then the channel moves the data out.
-    sim::Time a_start = reserveArray(arrayIndex(addr), earliest, sense);
-    sim::Time a_done = a_start + sense;
-
-    sim::Time xfer = timing_.pageCmdOverhead + timing_.transferTime(bytes);
-    sim::Time x_start = reserveChannel(addr.channel, a_done, xfer);
-
-    auto &st = stats_.at(addr.pool);
-    ++st.reads;
-    st.bytesRead += bytes;
-
-    OpResult res{a_start, x_start + xfer};
-    res.retries = rf.retries;
-    res.busTime = xfer;
-    res.cellTime = sense;
-    res.retryTime = sense - pt.readLatency;
-    if (rf.uncorrectable)
-        res.status = OpStatus::Uncorrectable;
-    else if (rf.retries > 0)
-        res.status = OpStatus::Corrected;
-    return notifyOp(OpKind::Read, addr, res);
-}
-
-OpResult
-FlashArray::program(const PageAddr &addr, sim::Time earliest)
-{
-    const auto &pt = timing_.pools.at(addr.pool);
-    const std::uint32_t page_bytes = geom_.pools.at(addr.pool).pageBytes;
-
-    // Data crosses the channel first, then the array programs it.
-    sim::Time xfer =
-        timing_.pageCmdOverhead + timing_.transferTime(page_bytes);
-    sim::Time x_start = reserveChannel(addr.channel, earliest, xfer);
-    sim::Time x_done = x_start + xfer;
-
-    sim::Time a_start =
-        reserveArray(arrayIndex(addr), x_done, pt.programLatency);
-
-    auto &st = stats_.at(addr.pool);
-    ++st.programs;
-    st.bytesProgrammed += page_bytes;
-
-    OpResult res{x_start, a_start + pt.programLatency};
-    res.busTime = xfer;
-    res.cellTime = pt.programLatency;
-    if (fault_ != nullptr && fault_->enabled() &&
-        fault_->programFails(poolAt(addr).eraseCount(BlockId{addr.block})))
-        res.status = OpStatus::ProgramFail;
-    return notifyOp(OpKind::Program, addr, res);
-}
-
-OpResult
-FlashArray::erase(const PageAddr &addr, sim::Time earliest)
-{
-    // Only the erase command crosses the bus; the array then erases.
-    sim::Time x_start = reserveChannel(addr.channel, earliest,
-                                       timing_.pageCmdOverhead);
-    sim::Time x_done = x_start + timing_.pageCmdOverhead;
-    sim::Time a_start =
-        reserveArray(arrayIndex(addr), x_done, timing_.eraseLatency);
-
-    ++stats_.at(addr.pool).erases;
-
-    OpResult res{x_start, a_start + timing_.eraseLatency};
+    // Every op sends a command; only host reads and programs also move
+    // page data over the channel, and a host read may move less than
+    // the full page.
+    OpResult res;
     res.busTime = timing_.pageCmdOverhead;
-    res.cellTime = timing_.eraseLatency;
-    if (fault_ != nullptr && fault_->enabled() &&
-        fault_->eraseFails(poolAt(addr).eraseCount(BlockId{addr.block})))
-        res.status = OpStatus::EraseFail;
-    return notifyOp(OpKind::Erase, addr, res);
-}
+    res.cellTime = base_cell;
+    std::uint64_t bytes = 0;
+    if (kind == OpKind::Read || kind == OpKind::Program) {
+        bytes = geom_.pools.at(addr.pool).pageBytes;
+        if (transfer_bytes.value() != 0)
+            bytes = std::min<std::uint64_t>(bytes, transfer_bytes.value());
+        res.busTime += timing_.transferTime(bytes);
+    }
+    if (fault_ != nullptr) {
+        const BlockPool &bp = poolAt(addr);
+        const BlockId block{addr.block};
+        if (sense) {
+            // Each retry level re-senses the page with shifted read
+            // voltages, extending the array occupancy; the data or the
+            // command crosses the channel once either way.
+            const fault::ReadFault rf =
+                fault_->onRead(bp.eraseCount(block), bp.blockAge(block));
+            res.retries = rf.retries;
+            res.cellTime += static_cast<sim::Time>(rf.retries) *
+                            fault_->config().readRetryLatency;
+            if (rf.uncorrectable)
+                res.status = OpStatus::Uncorrectable;
+            else if (rf.retries > 0)
+                res.status = OpStatus::Corrected;
+        } else if (kind == OpKind::Erase) {
+            if (fault_->eraseFails(bp.eraseCount(block)))
+                res.status = OpStatus::EraseFail;
+        } else if (fault_->programFails(bp.eraseCount(block))) {
+            res.status = OpStatus::ProgramFail;
+        }
+    }
+    res.retryTime = res.cellTime - base_cell;
 
-OpResult
-FlashArray::copybackRead(const PageAddr &addr, sim::Time earliest)
-{
-    const auto &pt = timing_.pools.at(addr.pool);
+    // A host read senses first and then moves the data out; every
+    // other op sends its command (and data) first, then the array works.
+    const std::size_t unit = arrayIndex(addr);
+    if (kind == OpKind::Read) {
+        res.start = reserveArray(unit, earliest, res.cellTime);
+        res.done = reserveChannel(addr.channel, res.start + res.cellTime,
+                                  res.busTime) +
+                   res.busTime;
+    } else {
+        res.start = reserveChannel(addr.channel, earliest, res.busTime);
+        res.done = reserveArray(unit, res.start + res.busTime,
+                                res.cellTime) +
+                   res.cellTime;
+    }
 
-    // The retry ladder applies to copyback sensing just as it does to
-    // host reads; GC relocating data out of a worn block pays for it.
-    const fault::ReadFault rf = evalReadFault(addr);
-    sim::Time sense = pt.readLatency;
-    if (rf.retries > 0)
-        sense += static_cast<sim::Time>(rf.retries) *
-                 fault_->config().readRetryLatency;
+    ArrayStats &st = stats_.at(addr.pool);
+    switch (kind) {
+      case OpKind::Read:
+        ++st.reads;
+        st.bytesRead += bytes;
+        break;
+      case OpKind::Program:
+        ++st.programs;
+        st.bytesProgrammed += bytes;
+        break;
+      case OpKind::Erase:
+        ++st.erases;
+        break;
+      case OpKind::CopybackRead:
+        ++st.copybackReads;
+        break;
+      case OpKind::CopybackProgram:
+        ++st.copybackPrograms;
+        break;
+    }
 
-    sim::Time x_start = reserveChannel(addr.channel, earliest,
-                                       timing_.pageCmdOverhead);
-    sim::Time x_done = x_start + timing_.pageCmdOverhead;
-    sim::Time a_start = reserveArray(arrayIndex(addr), x_done, sense);
-
-    ++stats_.at(addr.pool).copybackReads;
-    OpResult res{x_start, a_start + sense};
-    res.retries = rf.retries;
-    res.busTime = timing_.pageCmdOverhead;
-    res.cellTime = sense;
-    res.retryTime = sense - pt.readLatency;
-    if (rf.uncorrectable)
-        res.status = OpStatus::Uncorrectable;
-    else if (rf.retries > 0)
-        res.status = OpStatus::Corrected;
-    return notifyOp(OpKind::CopybackRead, addr, res);
-}
-
-OpResult
-FlashArray::copybackProgram(const PageAddr &addr, sim::Time earliest)
-{
-    const auto &pt = timing_.pools.at(addr.pool);
-    sim::Time x_start = reserveChannel(addr.channel, earliest,
-                                       timing_.pageCmdOverhead);
-    sim::Time x_done = x_start + timing_.pageCmdOverhead;
-    sim::Time a_start =
-        reserveArray(arrayIndex(addr), x_done, pt.programLatency);
-
-    ++stats_.at(addr.pool).copybackPrograms;
-    OpResult res{x_start, a_start + pt.programLatency};
-    res.busTime = timing_.pageCmdOverhead;
-    res.cellTime = pt.programLatency;
-    if (fault_ != nullptr && fault_->enabled() &&
-        fault_->programFails(poolAt(addr).eraseCount(BlockId{addr.block})))
-        res.status = OpStatus::ProgramFail;
-    return notifyOp(OpKind::CopybackProgram, addr, res);
+    if (opHook_)
+        opHook_(kind, addr, res);
+    return res;
 }
 
 sim::Time

@@ -11,9 +11,17 @@
  *    parallelism is the plane; disabled, it is the die (one array op
  *    per die at a time), which is the conservative eMMC behaviour.
  *
- * Read:    [array readLatency on plane] then [cmd + transfer on channel]
- * Program: [cmd + transfer on channel] then [array programLatency]
- * Erase:   [cmd on channel] then [array eraseLatency]
+ * One timing rule covers every operation: it holds the channel for a
+ * command overhead plus the transfer of the data it moves, and the
+ * array unit for its cell latency (Table V) plus any read-retry
+ * re-sensing. A host read takes the array first and then the channel;
+ * every other operation takes the channel first and then the array.
+ *
+ *   Read:            [array sense] then [cmd + transfer on channel]
+ *   Program:         [cmd + transfer on channel] then [array program]
+ *   Erase:           [cmd on channel] then [array erase]
+ *   CopybackRead:    [cmd on channel] then [array sense]
+ *   CopybackProgram: [cmd on channel] then [array program]
  *
  * The caller provides an earliest-start time; the array returns when
  * the operation starts and completes, and advances the timelines.
@@ -145,21 +153,36 @@ class FlashArray
      *        the physical page size. Zero keeps the full page.
      */
     OpResult read(const PageAddr &addr, sim::Time earliest,
-                  units::Bytes transfer_bytes = units::Bytes{0});
+                  units::Bytes transfer_bytes = units::Bytes{0})
+    {
+        return issue(OpKind::Read, addr, earliest, transfer_bytes);
+    }
 
     /** Execute a page program on @p addr (full-page transfer). */
-    OpResult program(const PageAddr &addr, sim::Time earliest);
+    OpResult program(const PageAddr &addr, sim::Time earliest)
+    {
+        return issue(OpKind::Program, addr, earliest);
+    }
 
     /** Execute a block erase on the block containing @p addr. */
-    OpResult erase(const PageAddr &addr, sim::Time earliest);
+    OpResult erase(const PageAddr &addr, sim::Time earliest)
+    {
+        return issue(OpKind::Erase, addr, earliest);
+    }
 
     /**
      * Copyback pair used by garbage collection: data moves inside the
      * plane without crossing the channel, only the command overhead is
      * charged on the bus.
      */
-    OpResult copybackRead(const PageAddr &addr, sim::Time earliest);
-    OpResult copybackProgram(const PageAddr &addr, sim::Time earliest);
+    OpResult copybackRead(const PageAddr &addr, sim::Time earliest)
+    {
+        return issue(OpKind::CopybackRead, addr, earliest);
+    }
+    OpResult copybackProgram(const PageAddr &addr, sim::Time earliest)
+    {
+        return issue(OpKind::CopybackProgram, addr, earliest);
+    }
 
     /** When the channel of @p addr becomes free. */
     sim::Time channelFreeAt(std::uint32_t channel) const;
@@ -201,17 +224,14 @@ class FlashArray
     /** Reserve the array unit for @p dur starting no earlier than @p t. */
     sim::Time reserveArray(std::size_t idx, sim::Time t, sim::Time dur);
 
-    /** Read-path fault evaluation for @p addr (no-fault when detached). */
-    fault::ReadFault evalReadFault(const PageAddr &addr);
-
-    /** Fire the op hook (if any) and pass @p res through. */
-    OpResult
-    notifyOp(OpKind kind, const PageAddr &addr, const OpResult &res)
-    {
-        if (opHook_)
-            opHook_(kind, addr, res);
-        return res;
-    }
+    /**
+     * Execute one operation of any kind: apply the fault model (retry
+     * ladder or program/erase status), reserve the two resources in
+     * the kind's order, bump its counter and fire the op hook.
+     * @p transfer_bytes is honoured for host reads only.
+     */
+    OpResult issue(OpKind kind, const PageAddr &addr, sim::Time earliest,
+                   units::Bytes transfer_bytes = units::Bytes{0});
 
     Geometry geom_;
     Timing timing_;

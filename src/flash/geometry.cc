@@ -98,4 +98,16 @@ addrFromPlaneLinear(const Geometry &g, std::uint32_t plane_linear)
     return a;
 }
 
+PageAddr
+pageAddr(const Geometry &g, std::uint32_t plane_linear, std::uint32_t pool,
+         units::PageNo ppn)
+{
+    PageAddr a = addrFromPlaneLinear(g, plane_linear);
+    a.pool = pool;
+    const std::uint32_t ppb = g.poolPagesPerBlock(pool);
+    a.block = units::pageToBlock(ppn, ppb).value();
+    a.page = units::pageIndexInBlock(ppn, ppb);
+    return a;
+}
+
 } // namespace emmcsim::flash

@@ -95,6 +95,13 @@ std::uint32_t dieLinear(const Geometry &g, const PageAddr &a);
 /** Rebuild the hierarchical fields of a PageAddr from a linear plane. */
 PageAddr addrFromPlaneLinear(const Geometry &g, std::uint32_t plane_linear);
 
+/**
+ * Address of physical page @p ppn of pool @p pool in linear plane
+ * @p plane_linear (block and page split by the pool's block size).
+ */
+PageAddr pageAddr(const Geometry &g, std::uint32_t plane_linear,
+                  std::uint32_t pool, units::PageNo ppn);
+
 } // namespace emmcsim::flash
 
 #endif // EMMCSIM_FLASH_GEOMETRY_HH

@@ -117,19 +117,13 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
         }
         bbm_.declareSpaceExhausted();
         ++stats_.rejectedWrites;
-        notifyAudit();
         return WriteResult{earliest, false, {}};
     }
 
     auto &bp = array_.plane(plane).pool(pool);
     flash::Ppn ppn = bp.allocatePage();
-
-    flash::PageAddr addr = flash::addrFromPlaneLinear(geom, plane);
-    addr.pool = pool;
-    const std::uint32_t ppb = geom.poolPagesPerBlock(pool);
-    addr.block = units::pageToBlock(ppn, ppb).value();
-    addr.page = units::pageIndexInBlock(ppn, ppb);
-    flash::OpResult res = array_.program(addr, t);
+    flash::OpResult res =
+        array_.program(flash::pageAddr(geom, plane, pool, ppn), t);
 
     // Attribution critical chain: GC held the write until t, the
     // first program decomposes into channel wait/transfer and array
@@ -149,7 +143,8 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
     std::uint32_t attempts = 0;
     while (res.status == flash::OpStatus::ProgramFail) {
         bbm_.noteProgramFailure();
-        const flash::BlockId bad = units::pageToBlock(ppn, ppb);
+        const flash::BlockId bad =
+            units::pageToBlock(ppn, bp.pagesPerBlock());
         bp.markSuspect(bad);
         bp.sealBlock(bad);
         EMMCSIM_ASSERT(++attempts <= 16,
@@ -162,39 +157,18 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
             // yet), rather than losing the write silently.
             bbm_.declareSpaceExhausted();
             ++stats_.rejectedWrites;
-            notifyAudit();
             chain.reloc = res.done - first_done;
             return WriteResult{res.done, false, chain};
         }
         ppn = bp.allocatePage();
-        addr.block = units::pageToBlock(ppn, ppb).value();
-        addr.page = units::pageIndexInBlock(ppn, ppb);
-        res = array_.program(addr, t);
+        res = array_.program(flash::pageAddr(geom, plane, pool, ppn), t);
         ++stats_.relocatedPrograms;
         bbm_.noteRelocatedProgram();
     }
 
-    // Stale out any previous locations of these units. This happens
-    // only after the program succeeded, so every rejection path above
-    // leaves the old mapping fully intact.
-    for (flash::Lpn lpn : lpns) {
-        const MapEntry old = map_.lookup(lpn);
-        if (old.mapped()) {
-            array_.plane(static_cast<std::uint32_t>(old.planeLinear))
-                .pool(old.pool)
-                .invalidateUnit(old.ppn, old.unit);
-        }
-    }
-
-    for (std::uint32_t u = 0; u < lpns.size(); ++u) {
-        bp.setUnit(ppn, u, lpns[u]);
-        MapEntry e;
-        e.planeLinear = static_cast<std::int32_t>(plane);
-        e.pool = static_cast<std::uint16_t>(pool);
-        e.ppn = ppn;
-        e.unit = static_cast<std::uint16_t>(u);
-        bp.stampPageSeq(ppn, journal_.recordWrite(lpns[u], e));
-    }
+    // The mapping moves only after the program succeeded, so every
+    // rejection path above leaves the old mapping fully intact.
+    placeUnits(plane, pool, ppn, lpns);
 
     // Remember the program so a power cut landing before res.done can
     // tear exactly this page (the write was never acknowledged).
@@ -207,7 +181,6 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
     stats_.hostUnitsWritten += lpns.size();
     stats_.hostBytesConsumed += geom.pools[pool].pageBytes;
     ++stats_.hostProgramOps;
-    notifyAudit();
     chain.reloc = res.done - first_done;
     return WriteResult{res.done, true, chain};
 }
@@ -262,12 +235,9 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
         const auto die = static_cast<std::uint32_t>(pseudo % dies);
         const auto plane_in_die = static_cast<std::uint32_t>(
             (pseudo / dies) % geom.planesPerDie);
-        flash::PageAddr a = flash::addrFromPlaneLinear(
-            geom, die * geom.planesPerDie + plane_in_die);
-        a.pool = pool;
-        const flash::Ppn ppn{pseudo % pool_pages};
-        a.block = units::pageToBlock(ppn, ppb).value();
-        a.page = units::pageIndexInBlock(ppn, ppb);
+        const flash::PageAddr a =
+            flash::pageAddr(geom, die * geom.planesPerDie + plane_in_die,
+                            pool, flash::Ppn{pseudo % pool_pages});
         const units::Bytes bytes = units::unitsToBytes(unit_count);
         flash::OpResult res = array_.read(a, earliest, bytes);
         if (res.status == flash::OpStatus::Uncorrectable)
@@ -336,14 +306,9 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
                             (static_cast<std::uint64_t>(e.pool) << 36) ^
                             e.ppn.value();
         auto [it, fresh] = group_index.try_emplace(key, groups.size());
-        if (fresh) {
-            flash::PageAddr a = flash::addrFromPlaneLinear(geom, plane);
-            a.pool = e.pool;
-            const std::uint32_t eppb = geom.poolPagesPerBlock(e.pool);
-            a.block = units::pageToBlock(e.ppn, eppb).value();
-            a.page = units::pageIndexInBlock(e.ppn, eppb);
-            groups.push_back(Group{a, 0});
-        }
+        if (fresh)
+            groups.push_back(
+                Group{flash::pageAddr(geom, plane, e.pool, e.ppn), 0});
         ++groups[it->second].units;
     }
     if (run_len > 0)
@@ -390,8 +355,16 @@ Ftl::installGroup(std::uint32_t pool,
             return false; // pool full: aged devices stay full here
     }
 
-    auto &bp = array_.plane(plane).pool(pool);
-    flash::Ppn ppn = bp.allocatePage();
+    placeUnits(plane, pool, array_.plane(plane).pool(pool).allocatePage(),
+               lpns);
+    return true;
+}
+
+void
+Ftl::placeUnits(std::uint32_t plane, std::uint32_t pool, flash::Ppn ppn,
+                const std::vector<flash::Lpn> &lpns)
+{
+    // Stale out any previous locations of these units first.
     for (flash::Lpn lpn : lpns) {
         const MapEntry old = map_.lookup(lpn);
         if (old.mapped()) {
@@ -400,6 +373,7 @@ Ftl::installGroup(std::uint32_t pool,
                 .invalidateUnit(old.ppn, old.unit);
         }
     }
+    auto &bp = array_.plane(plane).pool(pool);
     for (std::uint32_t u = 0; u < lpns.size(); ++u) {
         bp.setUnit(ppn, u, lpns[u]);
         MapEntry e;
@@ -409,8 +383,6 @@ Ftl::installGroup(std::uint32_t pool,
         e.unit = static_cast<std::uint16_t>(u);
         bp.stampPageSeq(ppn, journal_.recordWrite(lpns[u], e));
     }
-    notifyAudit();
-    return true;
 }
 
 void
@@ -426,7 +398,6 @@ Ftl::trim(flash::Lpn start, std::uint32_t n)
             journal_.recordTrim(lpn);
         }
     }
-    notifyAudit();
 }
 
 void
@@ -438,10 +409,7 @@ Ftl::flushBarrier()
 sim::Time
 Ftl::idleGcStep(sim::Time now, bool &did_work)
 {
-    sim::Time done = gc_.idleStep(now, did_work);
-    if (did_work)
-        notifyAudit();
-    return done;
+    return gc_.idleStep(now, did_work);
 }
 
 template <typename Self, typename IO>

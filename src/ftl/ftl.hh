@@ -17,7 +17,6 @@
 #define EMMCSIM_FTL_FTL_HH
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -260,18 +259,6 @@ class Ftl
     const flash::FlashArray &array() const { return array_; }
     const FtlConfig &config() const { return cfg_; }
 
-    /** Hook invoked after each mutating FTL operation (audit support). */
-    using AuditHook = std::function<void(const Ftl &)>;
-
-    /**
-     * Install a debug hook fired after every state-mutating operation
-     * (writeGroup, installGroup, trim, idle-GC steps). The audit
-     * subsystem uses it to validate mapping and free-space accounting
-     * at mutation granularity; a null @p hook uninstalls. The hook
-     * must not mutate the FTL.
-     */
-    void setAuditHook(AuditHook hook) { auditHook_ = std::move(hook); }
-
     /**
      * Test hook: mutable access to the page map so tests can plant
      * mapping corruptions for the check/ subsystem to catch. Never
@@ -289,13 +276,13 @@ class Ftl
     template <typename Self, typename IO>
     static void fields(Self &self, IO &io);
 
-    /** Fire the audit hook after a mutating operation. */
-    void
-    notifyAudit() const
-    {
-        if (auditHook_)
-            auditHook_(*this);
-    }
+    /**
+     * Land @p lpns in page @p ppn of (plane, pool), unit u in slot u:
+     * stale their old copies, fill the slots, journal each write and
+     * stamp the page's out-of-band sequence number.
+     */
+    void placeUnits(std::uint32_t plane, std::uint32_t pool,
+                    flash::Ppn ppn, const std::vector<flash::Lpn> &lpns);
 
     static std::uint64_t exportedUnits(const flash::FlashArray &array,
                                        double op_ratio);
@@ -309,7 +296,6 @@ class Ftl
     GarbageCollector gc_;
     FtlStats stats_;
     const RequestDistributor *pseudoDist_ = nullptr;
-    AuditHook auditHook_;
 
     /**
      * The host page program most recently issued to the array. Flash

@@ -80,15 +80,11 @@ GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
     const flash::BlockId vb{static_cast<std::uint32_t>(victim)};
     const std::uint32_t ppb = bp.pagesPerBlock();
     const std::uint32_t upp = bp.unitsPerPage();
-
-    flash::PageAddr base = flash::addrFromPlaneLinear(array_.geometry(),
-                                                      plane_linear);
-    base.pool = pool;
+    const flash::Geometry &geom = array_.geometry();
 
     // Gather the victim's live units, reading each source page once.
     struct LiveUnit
     {
-        flash::Lpn lpn;
         flash::Ppn srcPpn;
         std::uint32_t srcUnit;
     };
@@ -98,58 +94,64 @@ GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
         flash::Ppn ppn = units::blockFirstPage(vb, ppb) + pg;
         if (bp.validUnitsInPage(ppn) == 0)
             continue;
-        flash::PageAddr src = base;
-        src.block = vb.value();
-        src.page = pg;
+        const flash::PageAddr src =
+            flash::pageAddr(geom, plane_linear, pool, ppn);
         t = std::max(t, array_.copybackRead(src, t).done);
         for (std::uint32_t u = 0; u < upp; ++u) {
             if (bp.unitValid(ppn, u))
-                live.push_back(LiveUnit{bp.lpnAt(ppn, u), ppn, u});
+                live.push_back(LiveUnit{ppn, u});
         }
     }
 
     // Compact the live units into fresh pages of the same plane-pool.
     std::size_t i = 0;
     while (i < live.size()) {
-        flash::Ppn dst = copybackProgramChecked(bp, base, ppb, t);
-        for (std::uint32_t u = 0; u < upp && i < live.size(); ++u, ++i) {
-            const LiveUnit &lu = live[i];
-            const MapEntry cur = map_.lookup(lu.lpn);
-            EMMCSIM_ASSERT(
-                cur.mapped() &&
-                    cur.planeLinear ==
-                        static_cast<std::int32_t>(plane_linear) &&
-                    cur.pool == pool && cur.ppn == lu.srcPpn &&
-                    cur.unit == lu.srcUnit,
-                "map and pool state diverged during GC");
-            bp.invalidateUnit(lu.srcPpn, lu.srcUnit);
-            bp.setUnit(dst, u, lu.lpn);
-            MapEntry e;
-            e.planeLinear = static_cast<std::int32_t>(plane_linear);
-            e.pool = static_cast<std::uint16_t>(pool);
-            e.ppn = dst;
-            e.unit = static_cast<std::uint16_t>(u);
-            bp.stampPageSeq(dst, journal_.recordRelocation(lu.lpn, e));
-            ++stats_.relocatedUnits;
-        }
+        flash::Ppn dst = copybackProgramChecked(plane_linear, pool, t);
+        for (std::uint32_t u = 0; u < upp && i < live.size(); ++u, ++i)
+            relocateUnit(plane_linear, pool, live[i].srcPpn,
+                         live[i].srcUnit, dst, u);
     }
 
     // The victim now holds no live units; reclaim (erase or retire) it.
     return reclaimBlock(plane_linear, pool, vb, t);
 }
 
-flash::Ppn
-GarbageCollector::copybackProgramChecked(flash::BlockPool &bp,
-                                         flash::PageAddr base,
-                                         std::uint32_t ppb, sim::Time &t)
+void
+GarbageCollector::relocateUnit(std::uint32_t plane_linear,
+                               std::uint32_t pool, flash::Ppn src,
+                               std::uint32_t src_unit, flash::Ppn dst,
+                               std::uint32_t dst_unit)
 {
+    auto &bp = array_.plane(plane_linear).pool(pool);
+    const flash::Lpn lpn = bp.lpnAt(src, src_unit);
+    const MapEntry cur = map_.lookup(lpn);
+    EMMCSIM_ASSERT(cur.mapped() &&
+                       cur.planeLinear ==
+                           static_cast<std::int32_t>(plane_linear) &&
+                       cur.pool == pool && cur.ppn == src &&
+                       cur.unit == src_unit,
+                   "map and pool state diverged during GC");
+    bp.invalidateUnit(src, src_unit);
+    bp.setUnit(dst, dst_unit, lpn);
+    MapEntry e;
+    e.planeLinear = static_cast<std::int32_t>(plane_linear);
+    e.pool = static_cast<std::uint16_t>(pool);
+    e.ppn = dst;
+    e.unit = static_cast<std::uint16_t>(dst_unit);
+    bp.stampPageSeq(dst, journal_.recordRelocation(lpn, e));
+    ++stats_.relocatedUnits;
+}
+
+flash::Ppn
+GarbageCollector::copybackProgramChecked(std::uint32_t plane_linear,
+                                         std::uint32_t pool, sim::Time &t)
+{
+    auto &bp = array_.plane(plane_linear).pool(pool);
     std::uint32_t attempts = 0;
     for (;;) {
         flash::Ppn dst = bp.allocatePage();
-        flash::PageAddr dst_addr = base;
-        dst_addr.block = units::pageToBlock(dst, ppb).value();
-        dst_addr.page = units::pageIndexInBlock(dst, ppb);
-        flash::OpResult pr = array_.copybackProgram(dst_addr, t);
+        flash::OpResult pr = array_.copybackProgram(
+            flash::pageAddr(array_.geometry(), plane_linear, pool, dst), t);
         t = std::max(t, pr.done);
         if (pr.status != flash::OpStatus::ProgramFail)
             return dst;
@@ -159,7 +161,7 @@ GarbageCollector::copybackProgramChecked(flash::BlockPool &bp,
         // path, GC does not seal the block: sealing mid-collection
         // would burn the thin free reserve relocation depends on.
         bbm_.noteProgramFailure();
-        bp.markSuspect(flash::BlockId{dst_addr.block});
+        bp.markSuspect(units::pageToBlock(dst, bp.pagesPerBlock()));
         bbm_.noteRelocatedProgram();
         EMMCSIM_ASSERT(++attempts <= 16,
                        "GC copyback relocation not converging under "
@@ -175,12 +177,10 @@ GarbageCollector::reclaimBlock(std::uint32_t plane_linear,
                                sim::Time earliest)
 {
     auto &bp = array_.plane(plane_linear).pool(pool);
-    flash::PageAddr vaddr =
-        flash::addrFromPlaneLinear(array_.geometry(), plane_linear);
-    vaddr.pool = pool;
-    vaddr.block = b.value();
-    vaddr.page = 0;
-    flash::OpResult er = array_.erase(vaddr, earliest);
+    flash::OpResult er = array_.erase(
+        flash::pageAddr(array_.geometry(), plane_linear, pool,
+                        units::blockFirstPage(b, bp.pagesPerBlock())),
+        earliest);
     sim::Time t = std::max(earliest, er.done);
 
     if (er.status == flash::OpStatus::EraseFail) {
@@ -302,10 +302,6 @@ GarbageCollector::relocateSome(std::uint32_t plane_linear,
     const std::uint32_t ppb = bp.pagesPerBlock();
     const std::uint32_t upp = bp.unitsPerPage();
 
-    flash::PageAddr base =
-        flash::addrFromPlaneLinear(array_.geometry(), plane_linear);
-    base.pool = pool;
-
     sim::Time t = earliest;
     std::uint32_t moved = 0;
     for (std::uint32_t pg = 0; pg < ppb && moved < max_pages; ++pg) {
@@ -315,31 +311,20 @@ GarbageCollector::relocateSome(std::uint32_t plane_linear,
         if (!bp.hasFreePage())
             break;
 
-        flash::PageAddr src = base;
-        src.block = victim.value();
-        src.page = pg;
+        const flash::PageAddr src =
+            flash::pageAddr(array_.geometry(), plane_linear, pool, src_ppn);
         t = std::max(t, array_.copybackRead(src, t).done);
 
         // One destination page per source page; an incremental step
         // does not compact across pages (slightly less dense, far
         // simpler preemption).
-        flash::Ppn dst = copybackProgramChecked(bp, base, ppb, t);
+        flash::Ppn dst = copybackProgramChecked(plane_linear, pool, t);
 
         std::uint32_t dst_unit = 0;
         for (std::uint32_t u = 0; u < upp; ++u) {
-            if (!bp.unitValid(src_ppn, u))
-                continue;
-            flash::Lpn lpn = bp.lpnAt(src_ppn, u);
-            bp.invalidateUnit(src_ppn, u);
-            bp.setUnit(dst, dst_unit, lpn);
-            MapEntry e;
-            e.planeLinear = static_cast<std::int32_t>(plane_linear);
-            e.pool = static_cast<std::uint16_t>(pool);
-            e.ppn = dst;
-            e.unit = static_cast<std::uint16_t>(dst_unit);
-            bp.stampPageSeq(dst, journal_.recordRelocation(lpn, e));
-            ++dst_unit;
-            ++stats_.relocatedUnits;
+            if (bp.unitValid(src_ppn, u))
+                relocateUnit(plane_linear, pool, src_ppn, u, dst,
+                             dst_unit++);
         }
         ++moved;
     }

@@ -185,9 +185,18 @@ class GarbageCollector
      * @param t In/out flash-time cursor.
      * @return The physical page the data finally landed in.
      */
-    flash::Ppn copybackProgramChecked(flash::BlockPool &bp,
-                                      flash::PageAddr base,
-                                      std::uint32_t ppb, sim::Time &t);
+    flash::Ppn copybackProgramChecked(std::uint32_t plane_linear,
+                                      std::uint32_t pool, sim::Time &t);
+
+    /**
+     * Move the live unit in slot @p src_unit of page @p src to slot
+     * @p dst_unit of page @p dst in the same plane-pool: stale the
+     * source, fill the destination, journal the relocation and stamp
+     * the destination page's out-of-band sequence number.
+     */
+    void relocateUnit(std::uint32_t plane_linear, std::uint32_t pool,
+                      flash::Ppn src, std::uint32_t src_unit,
+                      flash::Ppn dst, std::uint32_t dst_unit);
 
     /**
      * Reclaim drained block @p b: attempt the erase and either return

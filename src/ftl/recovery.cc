@@ -193,7 +193,6 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
                    std::to_string(rep.tornPages) + " torn, " +
                    std::to_string(rep.droppedTrims) + " trims dropped, " +
                    std::to_string(rep.totalTime) + " ns");
-    notifyAudit();
     return rep;
 }
 

@@ -25,21 +25,21 @@ void
 foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
             std::uint64_t record_index)
 {
-    const std::uint64_t units = req.sizeUnits();
-    std::uint64_t unit = static_cast<std::uint64_t>(
-        units::lbaToUnitFloor(req.lbaSector).value());
-    if (units > logical_units) {
+    const std::uint64_t span = req.sizeUnits();
+    if (span > logical_units) {
         // Wrapping cannot help: the request alone is larger than
         // the device. Without this check the fold below would
         // underflow its unsigned modulus.
         sim::fatal("trace record " + std::to_string(record_index) +
-                   " spans " + std::to_string(units) +
+                   " spans " + std::to_string(span) +
                    " units but the device only exports " +
                    std::to_string(logical_units) +
                    "; use a larger device or a scaled-down trace");
     }
-    if (unit + units > logical_units)
-        unit = unit % (logical_units - units + 1);
+    const std::uint64_t unit = units::foldUnit(
+        static_cast<std::uint64_t>(
+            units::lbaToUnitFloor(req.lbaSector).value()),
+        span, logical_units);
     req.lbaSector = units::unitToLba(
         units::UnitAddr{static_cast<std::int64_t>(unit)});
 }

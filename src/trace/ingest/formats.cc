@@ -1,31 +1,14 @@
 #include "trace/ingest/formats.hh"
 
 #include <cctype>
-#include <limits>
 #include <sstream>
 #include <vector>
+
+#include "core/cli_util.hh"
 
 namespace emmcsim::trace::ingest {
 
 namespace {
-
-bool
-parseU64(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : tok) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-            return false; // overflow
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
 
 /** Split @p line on @p sep into trimmed fields. */
 std::vector<std::string>
@@ -84,7 +67,7 @@ parseSecondsToNs(const std::string &tok, sim::Time &out)
     const std::string whole =
         dot == std::string::npos ? tok : tok.substr(0, dot);
     std::uint64_t secs = 0;
-    if (!parseU64(whole, secs) || secs > kMaxSeconds)
+    if (!core::parseU64(whole, secs) || secs > kMaxSeconds)
         return false;
     std::uint64_t frac_ns = 0;
     if (dot != std::string::npos) {
@@ -95,7 +78,7 @@ parseSecondsToNs(const std::string &tok, sim::Time &out)
             frac.resize(9); // truncate below ns resolution
         while (frac.size() < 9)
             frac.push_back('0');
-        if (!parseU64(frac, frac_ns))
+        if (!core::parseU64(frac, frac_ns))
             return false;
     }
     out = static_cast<sim::Time>(secs * 1'000'000'000ull + frac_ns);
@@ -141,7 +124,8 @@ parseBlktraceLine(const std::string &line, RawRecord &out,
         error = "bad blktrace timestamp: " + f[3];
         return LineResult::Error;
     }
-    if (!parseU64(f[7], start_sectors) || !parseU64(f[9], count_sectors)) {
+    if (!core::parseU64(f[7], start_sectors) ||
+        !core::parseU64(f[9], count_sectors)) {
         error = "bad blktrace sector fields: " + f[7] + " + " + f[9];
         return LineResult::Error;
     }
@@ -179,7 +163,7 @@ parseBiosnoopLine(const std::string &line, RawRecord &out,
         error = "bad biosnoop timestamp: " + f[0];
         return LineResult::Error;
     }
-    if (!parseU64(f[5], start_sectors) || !parseU64(f[6], bytes)) {
+    if (!core::parseU64(f[5], start_sectors) || !core::parseU64(f[6], bytes)) {
         error = "bad biosnoop sector/bytes fields: " + f[5] + " " + f[6];
         return LineResult::Error;
     }
@@ -212,8 +196,8 @@ parseAlibabaLine(const std::string &line, RawRecord &out,
     std::uint64_t off = 0;
     std::uint64_t len = 0;
     std::uint64_t ts_us = 0;
-    if (!parseU64(f[2], off) || !parseU64(f[3], len) ||
-        !parseU64(f[4], ts_us)) {
+    if (!core::parseU64(f[2], off) || !core::parseU64(f[3], len) ||
+        !core::parseU64(f[4], ts_us)) {
         error = "bad alibaba numeric fields: " + f[2] + "," + f[3] + "," +
                 f[4];
         return LineResult::Error;
@@ -247,7 +231,8 @@ parseTencentLine(const std::string &line, RawRecord &out,
         error = "bad tencent timestamp: " + f[0];
         return LineResult::Error;
     }
-    if (!parseU64(f[1], off_sectors) || !parseU64(f[2], size_sectors)) {
+    if (!core::parseU64(f[1], off_sectors) ||
+        !core::parseU64(f[2], size_sectors)) {
         error = "bad tencent offset/size fields: " + f[1] + "," + f[2];
         return LineResult::Error;
     }

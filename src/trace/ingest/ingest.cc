@@ -240,11 +240,13 @@ ingestFile(Format format, const std::string &in_path,
                 ++stats.droppedOversize;
                 continue;
             }
-            if (addr_units + span_units > opts.targetUnits) {
-                // Same fold the replayer applies at replay time, so a
-                // pre-remapped trace replays identically.
-                addr_units =
-                    addr_units % (opts.targetUnits - span_units + 1);
+            // Same fold the replayer applies at replay time, so a
+            // pre-remapped trace replays identically. A folded span
+            // always moves (it starts past the fold modulus).
+            const std::uint64_t folded =
+                units::foldUnit(addr_units, span_units, opts.targetUnits);
+            if (folded != addr_units) {
+                addr_units = folded;
                 ++stats.remapped;
             }
         }

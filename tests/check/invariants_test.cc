@@ -320,7 +320,10 @@ TEST(AuditRegressionTest, FullReplayUnderAuditIsClean)
     EXPECT_GT(res.audit.totalChecks(), 0u);
 }
 
-/** The mutation-granularity hooks also stay clean on real traffic. */
+/**
+ * Auditing after every event — each command completion, idle-GC tick
+ * and arrival — also stays clean on real traffic.
+ */
 TEST(AuditRegressionTest, MutationHooksStayClean)
 {
     sim::Simulator simulator;
@@ -331,7 +334,7 @@ TEST(AuditRegressionTest, MutationHooksStayClean)
     auto dev = core::makeDevice(simulator, core::SchemeKind::PS4, cfg);
 
     check::AuditOptions audit_opts;
-    audit_opts.onCommandFinish = true;
+    audit_opts.everyEvents = 1;
     check::DeviceAuditor auditor(simulator, *dev, audit_opts);
 
     const workload::AppProfile *p = workload::findProfile("Movie");

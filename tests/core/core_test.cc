@@ -11,6 +11,8 @@
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/scheme.hh"
+#include "workload/generator.hh"
+#include "workload/profile.hh"
 
 using namespace emmcsim;
 using namespace emmcsim::core;
@@ -112,4 +114,37 @@ TEST(Scheme, ExtendedSchemesIncludeHslc)
     ASSERT_EQ(extendedSchemes().size(), 4u);
     EXPECT_EQ(schemeName(extendedSchemes()[3]), "HSLC");
     EXPECT_EQ(schemeDistributor(SchemeKind::HSLC)->name(), "HPS");
+}
+
+TEST(ExperimentFaults, AgedDeviceUnderSeededFaultsAuditsClean)
+{
+    // An aged, shrunken device garbage-collects, so copybacks and
+    // erases run through the fault model next to host programs.
+    const workload::AppProfile *p = workload::findProfile("Installing");
+    ASSERT_NE(p, nullptr);
+    workload::TraceGenerator gen(*p, /*seed=*/1);
+    trace::Trace t = gen.generate(/*scale=*/0.05);
+
+    ExperimentOptions opts;
+    opts.capacityScale = 1.0 / 64.0;
+    opts.prefill = 0.7;
+    opts.fault.enabled = true;
+    opts.fault.seed = 11;
+    opts.fault.baseRber = 3e-4;
+    opts.fault.programFailProb = 1e-3;
+    opts.fault.eraseFailProb = 1e-3;
+    opts.auditEveryEvents = 500;
+    opts.obs.metrics = true;
+    CaseResult r = runCase(t, SchemeKind::PS4, opts);
+
+    EXPECT_GT(r.gcBlockingRounds, 0u);
+    EXPECT_GT(r.obs.metrics.counterValue("flash.copyback_reads"), 0u);
+    EXPECT_GT(r.obs.metrics.counterValue("flash.copyback_programs"), 0u);
+    EXPECT_GT(r.totalErases, 0u);
+    EXPECT_GT(r.programFailures + r.eraseFailures, 0u);
+    EXPECT_GT(r.correctedReads, 0u);
+    EXPECT_FALSE(r.deviceReadOnly);
+    EXPECT_TRUE(r.audit.clean())
+        << r.audit.totalViolations() << " violation(s)";
+    EXPECT_GE(r.audit.passes, 2u) << "periodic audits never fired";
 }

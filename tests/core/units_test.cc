@@ -144,6 +144,22 @@ TEST(Units, PageBlockGeometry)
     EXPECT_EQ(blockFirstPage(BlockId{2}, ppb) + 3, p);
 }
 
+TEST(Units, FoldUnitKeepsSpansInsideCapacity)
+{
+    // Spans that fit, up to the last unit, stay where they are.
+    EXPECT_EQ(foldUnit(0, 4, 100), 0u);
+    EXPECT_EQ(foldUnit(96, 4, 100), 96u);
+    // One unit past the end folds modulo capacity - span + 1 = 97.
+    EXPECT_EQ(foldUnit(97, 4, 100), 0u);
+    EXPECT_EQ(foldUnit(99, 4, 100), 2u);
+    EXPECT_EQ(foldUnit(1000, 4, 100), 1000u % 97u);
+    // A span as large as the device has exactly one place.
+    EXPECT_EQ(foldUnit(0, 100, 100), 0u);
+    EXPECT_EQ(foldUnit(5, 100, 100), 0u);
+    for (std::uint64_t u = 0; u < 300; ++u)
+        EXPECT_LE(foldUnit(u, 4, 100) + 4, 100u) << u;
+}
+
 TEST(Units, AlignmentPredicates)
 {
     EXPECT_TRUE(isUnitAligned(Bytes{0}));

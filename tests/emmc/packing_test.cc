@@ -3,6 +3,8 @@
  * Unit tests for the eMMC packed-write policy.
  */
 
+#include <deque>
+
 #include <gtest/gtest.h>
 
 #include "emmc/packing.hh"

@@ -4,6 +4,9 @@
  * and array units, Table V latencies, and op statistics.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "flash/array.hh"
@@ -265,3 +268,198 @@ TEST_P(ArrayPageSizeSweep, BackToBackProgramsRespectArrayLatency)
 
 INSTANTIATE_TEST_SUITE_P(PageSizes, ArrayPageSizeSweep,
                          ::testing::Values(4096u, 8192u));
+
+// ---------------------------------------------------------------------
+// One test per operation kind: every OpResult field, the counter the
+// op bumps, and the op hook's view, including the fault branches.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** An array with an attached, enabled but quiet injector. */
+struct OpsRig
+{
+    Geometry g = geom2x2();
+    Timing t = timing4k();
+    fault::FaultInjector injector;
+    FlashArray arr;
+    std::vector<std::pair<OpKind, OpResult>> hooked;
+
+    explicit OpsRig(fault::FaultConfig cfg = quiet())
+        : injector(cfg), arr(g, t, true)
+    {
+        arr.attachFaultInjector(&injector);
+        arr.setOpHook([this](OpKind k, const PageAddr &, const OpResult &r) {
+            hooked.emplace_back(k, r);
+        });
+    }
+
+    static fault::FaultConfig
+    quiet()
+    {
+        fault::FaultConfig c;
+        c.enabled = true; // baseRber 0 and no fail probabilities
+        return c;
+    }
+};
+
+void
+expectOp(const OpResult &r, sim::Time start, sim::Time done,
+         OpStatus status, std::uint32_t retries, sim::Time bus,
+         sim::Time cell, sim::Time retry)
+{
+    EXPECT_EQ(r.start, start);
+    EXPECT_EQ(r.done, done);
+    EXPECT_EQ(r.status, status);
+    EXPECT_EQ(r.retries, retries);
+    EXPECT_EQ(r.busTime, bus);
+    EXPECT_EQ(r.cellTime, cell);
+    EXPECT_EQ(r.retryTime, retry);
+}
+
+void
+expectStats(const ArrayStats &s, std::uint64_t reads,
+            std::uint64_t programs, std::uint64_t erases,
+            std::uint64_t cb_reads, std::uint64_t cb_programs,
+            std::uint64_t bytes_read, std::uint64_t bytes_programmed)
+{
+    EXPECT_EQ(s.reads, reads);
+    EXPECT_EQ(s.programs, programs);
+    EXPECT_EQ(s.erases, erases);
+    EXPECT_EQ(s.copybackReads, cb_reads);
+    EXPECT_EQ(s.copybackPrograms, cb_programs);
+    EXPECT_EQ(s.bytesRead, bytes_read);
+    EXPECT_EQ(s.bytesProgrammed, bytes_programmed);
+}
+
+void
+expectHooked(const OpsRig &rig, OpKind kind, const OpResult &r)
+{
+    ASSERT_EQ(rig.hooked.size(), 1u);
+    EXPECT_EQ(rig.hooked[0].first, kind);
+    EXPECT_EQ(rig.hooked[0].second.done, r.done);
+    EXPECT_EQ(rig.hooked[0].second.status, r.status);
+}
+
+constexpr sim::Time kAt = sim::microseconds(7);
+
+} // namespace
+
+TEST(FlashArrayOps, ReadSensesThenTransfers)
+{
+    OpsRig rig;
+    const sim::Time bus = rig.t.pageCmdOverhead + rig.t.transferTime(4096);
+    const sim::Time cell = rig.t.pools[0].readLatency;
+    OpResult r = rig.arr.read(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + cell + bus, OpStatus::Ok, 0, bus, cell, 0);
+    expectStats(rig.arr.stats(0), 1, 0, 0, 0, 0, 4096, 0);
+    expectHooked(rig, OpKind::Read, r);
+}
+
+TEST(FlashArrayOps, ForcedReadFailureRunsTheWholeLadder)
+{
+    OpsRig rig;
+    rig.injector.forceReadFailures(1);
+    const auto &fc = rig.injector.config();
+    const sim::Time retry = fc.readRetryLevels * fc.readRetryLatency;
+    const sim::Time bus = rig.t.pageCmdOverhead + rig.t.transferTime(4096);
+    const sim::Time cell = rig.t.pools[0].readLatency + retry;
+    OpResult r = rig.arr.read(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + cell + bus, OpStatus::Uncorrectable,
+             fc.readRetryLevels, bus, cell, retry);
+    EXPECT_FALSE(r.ok());
+    expectStats(rig.arr.stats(0), 1, 0, 0, 0, 0, 4096, 0);
+    expectHooked(rig, OpKind::Read, r);
+}
+
+TEST(FlashArrayOps, OneRetryLevelCorrectsARead)
+{
+    // RBER twice the ECC threshold fails the default read for certain
+    // (the huge shape makes pFail exactly 1) and passes level 1
+    // outright (its threshold is three times higher).
+    fault::FaultConfig c = OpsRig::quiet();
+    c.baseRber = 2 * c.eccRberThreshold;
+    c.retryThresholdGain = 3.0;
+    c.failShape = 1e9;
+    OpsRig rig(c);
+    const sim::Time bus = rig.t.pageCmdOverhead + rig.t.transferTime(4096);
+    const sim::Time cell =
+        rig.t.pools[0].readLatency + c.readRetryLatency;
+    OpResult r = rig.arr.read(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + cell + bus, OpStatus::Corrected, 1, bus, cell,
+             c.readRetryLatency);
+    EXPECT_TRUE(r.ok());
+    expectStats(rig.arr.stats(0), 1, 0, 0, 0, 0, 4096, 0);
+}
+
+TEST(FlashArrayOps, ForcedCopybackReadFailureSendsOnlyTheCommand)
+{
+    OpsRig rig;
+    rig.injector.forceReadFailures(1);
+    const auto &fc = rig.injector.config();
+    const sim::Time retry = fc.readRetryLevels * fc.readRetryLatency;
+    const sim::Time bus = rig.t.pageCmdOverhead;
+    const sim::Time cell = rig.t.pools[0].readLatency + retry;
+    OpResult r = rig.arr.copybackRead(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + bus + cell, OpStatus::Uncorrectable,
+             fc.readRetryLevels, bus, cell, retry);
+    expectStats(rig.arr.stats(0), 0, 0, 0, 1, 0, 0, 0);
+    expectHooked(rig, OpKind::CopybackRead, r);
+}
+
+TEST(FlashArrayOps, ForcedProgramFailureKeepsProgramTiming)
+{
+    OpsRig rig;
+    rig.injector.forceProgramFailures(1);
+    const sim::Time bus = rig.t.pageCmdOverhead + rig.t.transferTime(4096);
+    const sim::Time cell = rig.t.pools[0].programLatency;
+    OpResult r = rig.arr.program(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + bus + cell, OpStatus::ProgramFail, 0, bus, cell,
+             0);
+    EXPECT_FALSE(r.ok());
+    expectStats(rig.arr.stats(0), 0, 1, 0, 0, 0, 0, 4096);
+    expectHooked(rig, OpKind::Program, r);
+}
+
+TEST(FlashArrayOps, ForcedCopybackProgramFailure)
+{
+    OpsRig rig;
+    rig.injector.forceProgramFailures(1);
+    const sim::Time bus = rig.t.pageCmdOverhead;
+    const sim::Time cell = rig.t.pools[0].programLatency;
+    OpResult r = rig.arr.copybackProgram(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + bus + cell, OpStatus::ProgramFail, 0, bus, cell,
+             0);
+    expectStats(rig.arr.stats(0), 0, 0, 0, 0, 1, 0, 0);
+    expectHooked(rig, OpKind::CopybackProgram, r);
+}
+
+TEST(FlashArrayOps, ForcedEraseFailure)
+{
+    OpsRig rig;
+    rig.injector.forceEraseFailures(1);
+    const sim::Time bus = rig.t.pageCmdOverhead;
+    const sim::Time cell = rig.t.eraseLatency;
+    OpResult r = rig.arr.erase(addrAtPlane(rig.g, 0), kAt);
+    expectOp(r, kAt, kAt + bus + cell, OpStatus::EraseFail, 0, bus, cell, 0);
+    expectStats(rig.arr.stats(0), 0, 0, 1, 0, 0, 0, 0);
+    expectHooked(rig, OpKind::Erase, r);
+}
+
+TEST(FlashArrayOps, OnlyHostReadsTakeTheArrayFirst)
+{
+    // Planes 1..3 share channel 0; with multi-plane commands each
+    // plane is its own array unit.
+    OpsRig rig;
+    OpResult p = rig.arr.program(addrAtPlane(rig.g, 1), 0);
+    const sim::Time chan_free = p.start + p.busTime;
+    // A copyback read needs the channel first, so it waits for it.
+    OpResult cb = rig.arr.copybackRead(addrAtPlane(rig.g, 2), 0);
+    EXPECT_EQ(cb.start, chan_free);
+    EXPECT_EQ(cb.done, chan_free + cb.busTime + cb.cellTime);
+    // A host read senses on its idle plane at once and needs the
+    // channel only after sensing, by when it is free again.
+    OpResult rd = rig.arr.read(addrAtPlane(rig.g, 3), 0);
+    EXPECT_EQ(rd.start, 0);
+    EXPECT_EQ(rd.done, rd.cellTime + rd.busTime);
+}

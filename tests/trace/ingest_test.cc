@@ -469,6 +469,26 @@ TEST(IngestParse, TencentLineParsed)
         << "iotype other than 0/1 is an error";
 }
 
+TEST(IngestParse, NumericFieldsFollowTheStrictU64Contract)
+{
+    ingest::RawRecord r;
+    std::string err;
+    // Signs, hex, exponents and values past UINT64_MAX are errors, not
+    // silently wrapped or partially parsed numbers.
+    for (const char *bad :
+         {"+5", "-5", "0x10", "5e3", "18446744073709551616"}) {
+        const std::string line = std::string("3,W,") + bad + ",4096,1";
+        EXPECT_EQ(ingest::parseAlibabaLine(line, r, err),
+                  ingest::LineResult::Error)
+            << line;
+    }
+    ASSERT_EQ(ingest::parseAlibabaLine("3,W,18446744073709551615,4096,1",
+                                       r, err),
+              ingest::LineResult::Record)
+        << err;
+    EXPECT_EQ(r.offsetBytes, 18446744073709551615u);
+}
+
 // ---------------------------------------------------------------------------
 // Ingest pipeline (normalization)
 

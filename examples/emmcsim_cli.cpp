@@ -15,7 +15,7 @@
  *   compare <app> [scale]              run the Fig 8/9 comparison
  *   sweep [app ...] [--schemes=L] [--ablate=L] [--jobs=N] ...
  *                                      fan out app x scheme x ablation
- *                                      replays over a worker pool
+ *                                      replays over worker threads
  *   snapshot <trace> <image> [scheme] --at=NS
  *                                      replay until the first quiescent
  *                                      point at/after NS and write a
@@ -38,8 +38,8 @@
  * replay also accepts --spo-at=NS[,NS...] / --spo-random=N,seed to cut
  * device power mid-run and drive the FTL recovery path. A replay of an
  * emmctrace-bin file streams it chunk by chunk (bounded memory for
- * multi-GB traces); --spo-random / snapshot / restore need a text
- * trace.
+ * multi-GB traces); --spo-random / --trace-csv / snapshot / restore
+ * need a text trace.
  */
 
 #include <algorithm>
@@ -232,16 +232,17 @@ struct ObsOutputs
 {
     std::string metricsJson; ///< run-report JSON (--metrics-json)
     std::string chromeTrace; ///< Chrome trace_event JSON (--trace-out)
-    std::string biotracerCsv; ///< emmctrace text (--trace-csv)
+    std::string replayedTrace; ///< replayed trace, text (--trace-csv)
 };
 
-/** Write @p content to @p path; prints an error on failure. */
+/** Write @p path through @p write(os); prints an error on failure. */
+template <typename Write>
 bool
-writeFileOrReport(const std::string &path, const std::string &content)
+writeFileOrReport(const std::string &path, Write &&write)
 {
     std::ofstream os(path);
     if (os)
-        os << content;
+        write(os);
     if (!os) {
         std::cerr << "error: cannot write " << path << "\n";
         return false;
@@ -291,6 +292,12 @@ cmdReplay(const std::string &path, const std::string &scheme,
             std::cerr << "error: --spo-random needs a text trace (the "
                          "emmctrace-bin header carries no arrival span "
                          "to draw from; use --spo-at)\n";
+            return 2;
+        }
+        if (!outs.replayedTrace.empty()) {
+            std::cerr << "error: --trace-csv needs a text trace (a "
+                         "streamed emmctrace-bin replay keeps no "
+                         "per-record timestamps)\n";
             return 2;
         }
         trace::BinTraceSource src(path);
@@ -438,15 +445,19 @@ cmdReplay(const std::string &path, const std::string &scheme,
                   << "\n";
     }
     if (!outs.chromeTrace.empty()) {
-        if (!writeFileOrReport(outs.chromeTrace, res.obs.chromeTrace))
+        if (!writeFileOrReport(outs.chromeTrace, [&](std::ostream &os) {
+                os << res.obs.chromeTrace;
+            }))
             return 1;
         std::cout << "wrote Chrome trace to " << outs.chromeTrace
                   << "\n";
     }
-    if (!outs.biotracerCsv.empty()) {
-        if (!writeFileOrReport(outs.biotracerCsv, res.obs.biotracerTrace))
+    if (!outs.replayedTrace.empty()) {
+        if (!writeFileOrReport(outs.replayedTrace, [&](std::ostream &os) {
+                res.replayed.save(os);
+            }))
             return 1;
-        std::cout << "wrote replayed trace to " << outs.biotracerCsv
+        std::cout << "wrote replayed trace to " << outs.replayedTrace
                   << "\n";
     }
     return 0;
@@ -711,8 +722,8 @@ struct SweepArgs
 };
 
 /**
- * Fan the (app x scheme x variant) product out over a core::Sweep
- * worker pool and print one table row per case, in the deterministic
+ * Fan the (app x scheme x variant) product out over core::runCases
+ * worker threads and print one table row per case, in the deterministic
  * product order. Traces are generated once per app up front and
  * shared read-only by the workers, so every run replays identical
  * input regardless of --jobs.
@@ -826,8 +837,10 @@ usage()
            "(all registry metrics)\n"
            "      [--trace-out=FILE]      record request/flash spans, "
            "write Chrome trace JSON\n"
-           "      [--trace-csv=FILE]      write the replayed trace in "
-           "emmctrace text format\n"
+           "      [--trace-csv=FILE]      write the replayed trace "
+           "(BIOtracer timestamps) as\n"
+           "                              emmctrace text (text "
+           "traces)\n"
            "      [--sample-window-ms=N]  record windowed metric "
            "series every N ms\n"
            "      [--attribution]         per-request phase ledgers -> "
@@ -1061,29 +1074,9 @@ main(int argc, char **argv)
                     (!parseU64(value, opts.auditEveryEvents) ||
                      opts.auditEveryEvents == 0))
                     return usageError("bad --audit interval: " + value);
-            } else if (name == "--fault-rber") {
-                opts.fault.enabled = true;
-                if (!parseF64(value, opts.fault.baseRber) ||
-                    opts.fault.baseRber < 0)
-                    return usageError("bad --fault-rber: " + value);
-            } else if (name == "--fault-seed") {
-                opts.fault.enabled = true;
-                if (!parseU64(value, opts.fault.seed))
-                    return usageError("bad --fault-seed: " + value);
-            } else if (name == "--fault-program-fail") {
-                opts.fault.enabled = true;
-                if (!parseF64(value, opts.fault.programFailProb) ||
-                    opts.fault.programFailProb < 0 ||
-                    opts.fault.programFailProb > 1)
-                    return usageError("bad --fault-program-fail: " +
-                                      value);
-            } else if (name == "--fault-erase-fail") {
-                opts.fault.enabled = true;
-                if (!parseF64(value, opts.fault.eraseFailProb) ||
-                    opts.fault.eraseFailProb < 0 ||
-                    opts.fault.eraseFailProb > 1)
-                    return usageError("bad --fault-erase-fail: " +
-                                      value);
+            } else if (core::isFaultFlag(name)) {
+                if (!core::parseFaultFlag(name, value, opts.fault))
+                    return usageError("bad " + name + ": " + value);
             } else if (name == "--retries") {
                 std::uint64_t n = 0;
                 if (!parseU64(value, n) || n > 1000)
@@ -1102,8 +1095,7 @@ main(int argc, char **argv)
             } else if (name == "--trace-csv") {
                 if (value.empty())
                     return usageError("--trace-csv needs a file");
-                outs.biotracerCsv = value;
-                opts.obs.traceSpans = true;
+                outs.replayedTrace = value;
             } else if (name == "--sample-window-ms") {
                 std::uint64_t ms = 0;
                 if (!parseU64(value, ms) || ms == 0)

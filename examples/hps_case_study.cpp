@@ -10,8 +10,8 @@
  *                       [--fault-program-fail=X] [--fault-erase-fail=X]
  *                       [--metrics-json=FILE] [--trace-out=FILE]
  *
- * The three scheme replays are independent, so they run on a
- * core::Sweep worker pool (--jobs=N, default one worker per hardware
+ * The three scheme replays are independent, so core::runCases runs
+ * them on up to --jobs=N worker threads (default one per hardware
  * thread). Results are collected in scheme order and all output is
  * printed afterwards, so stdout and every artifact are byte-identical
  * whatever the worker count.
@@ -96,27 +96,9 @@ main(int argc, char **argv)
         } else if (name == "--jobs") {
             if (!core::parseJobs(value, jobs))
                 return usageError("bad --jobs: " + value);
-        } else if (name == "--fault-rber") {
-            fault_cfg.enabled = true;
-            if (!core::parseF64(value, fault_cfg.baseRber) ||
-                fault_cfg.baseRber < 0)
-                return usageError("bad --fault-rber: " + value);
-        } else if (name == "--fault-seed") {
-            fault_cfg.enabled = true;
-            if (!core::parseU64(value, fault_cfg.seed))
-                return usageError("bad --fault-seed: " + value);
-        } else if (name == "--fault-program-fail") {
-            fault_cfg.enabled = true;
-            if (!core::parseF64(value, fault_cfg.programFailProb) ||
-                fault_cfg.programFailProb < 0 ||
-                fault_cfg.programFailProb > 1)
-                return usageError("bad --fault-program-fail: " + value);
-        } else if (name == "--fault-erase-fail") {
-            fault_cfg.enabled = true;
-            if (!core::parseF64(value, fault_cfg.eraseFailProb) ||
-                fault_cfg.eraseFailProb < 0 ||
-                fault_cfg.eraseFailProb > 1)
-                return usageError("bad --fault-erase-fail: " + value);
+        } else if (core::isFaultFlag(name)) {
+            if (!core::parseFaultFlag(name, value, fault_cfg))
+                return usageError("bad " + name + ": " + value);
         } else if (name == "--metrics-json") {
             if (value.empty())
                 return usageError("--metrics-json needs a file");

@@ -16,6 +16,9 @@
  *   and anything that overflows/underflows to a non-finite or
  *   ERANGE result. A flag value that survives parseF64 is a finite
  *   double spelled the way a person would type it.
+ *
+ * parseFaultFlag is the one parser of the four --fault-* flags
+ * (emmcsim_cli and hps_case_study both take them).
  */
 
 #ifndef EMMCSIM_CORE_CLI_UTIL_HH
@@ -27,6 +30,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+
+#include "fault/injector.hh"
 
 namespace emmcsim::core {
 
@@ -88,6 +93,37 @@ parseJobs(const std::string &s, unsigned &jobs)
         return false;
     jobs = static_cast<unsigned>(n);
     return true;
+}
+
+/** True for the four NAND fault-injection flags parseFaultFlag takes. */
+inline bool
+isFaultFlag(const std::string &name)
+{
+    return name == "--fault-rber" || name == "--fault-seed" ||
+           name == "--fault-program-fail" || name == "--fault-erase-fail";
+}
+
+/**
+ * Parse the value of one --fault-* flag into @p cfg and turn injection
+ * on: --fault-rber takes a base RBER >= 0, --fault-seed a u64, and
+ * --fault-program-fail / --fault-erase-fail a probability in [0, 1].
+ * @retval false on a malformed or out-of-range value (callers report
+ *         "bad <flag>: <value>"), or when @p name is not a fault flag.
+ */
+inline bool
+parseFaultFlag(const std::string &name, const std::string &value,
+               fault::FaultConfig &cfg)
+{
+    cfg.enabled = true;
+    if (name == "--fault-seed")
+        return parseU64(value, cfg.seed);
+    if (name == "--fault-rber")
+        return parseF64(value, cfg.baseRber) && cfg.baseRber >= 0;
+    double *prob = name == "--fault-program-fail" ? &cfg.programFailProb
+                   : name == "--fault-erase-fail" ? &cfg.eraseFailProb
+                                                  : nullptr;
+    return prob != nullptr && parseF64(value, *prob) && *prob >= 0 &&
+           *prob <= 1;
 }
 
 } // namespace emmcsim::core

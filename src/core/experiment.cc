@@ -180,8 +180,7 @@ collectDeviceColumns(CaseResult &res, emmc::EmmcDevice &device,
 /** Finish the observer and move its artifacts into @p res. */
 void
 collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
-                    const obs::ObserverOptions &req,
-                    const std::string &trace_name)
+                    const obs::ObserverOptions &req)
 {
     if (observer == nullptr)
         return;
@@ -193,9 +192,6 @@ collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
         std::ostringstream chrome;
         observer->tracer().exportChromeTrace(chrome);
         res.obs.chromeTrace = chrome.str();
-        std::ostringstream bt;
-        observer->tracer().exportBiotracerCsv(bt, trace_name);
-        res.obs.biotracerTrace = bt.str();
     }
     if (req.attribution)
         res.obs.attribution = observer->attribution();
@@ -324,7 +320,7 @@ runCaseBody(const CaseInput &in, SchemeKind kind,
         res.snapshotImage = image.take();
     }
 
-    collectObsArtifacts(res, observer.get(), opts.obs, res.traceName);
+    collectObsArtifacts(res, observer.get(), opts.obs);
     if (auditor) {
         auditor->runFullAudit();
         auditor->detach();

@@ -160,7 +160,11 @@ struct CaseResult
      */
     std::string snapshotImage;
 
-    /** Replayed trace (timestamps filled) for further analysis. */
+    /**
+     * Replayed trace: every record with BIOtracer's three timestamps
+     * (trace arrival, service start, finish); the one source of the
+     * CLI's --trace-csv file. Empty for runCaseStream().
+     */
     trace::Trace replayed;
 
     /** Observability artifacts (value-only; the device is gone). */
@@ -174,8 +178,6 @@ struct CaseResult
         obs::SeriesSet series;
         /** Chrome trace_event JSON (traceSpans mode). */
         std::string chromeTrace;
-        /** emmctrace text with BIOtracer timestamps (traceSpans). */
-        std::string biotracerTrace;
         /** Latency attribution (attribution mode). */
         obs::AttributionSummary attribution;
     };

@@ -13,70 +13,6 @@ effectiveJobs(unsigned requested)
     return hw == 0 ? 1 : hw;
 }
 
-ThreadPool::ThreadPool(unsigned jobs)
-{
-    const unsigned n = effectiveJobs(jobs);
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    task_cv_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::post(std::function<void()> task)
-{
-    EMMCSIM_ASSERT(task != nullptr, "ThreadPool::post: empty task");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-    }
-    task_cv_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock,
-                  [this] { return queue_.empty() && active_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            task_cv_.wait(
-                lock, [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stop_ set and nothing left to do
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --active_;
-            if (queue_.empty() && active_ == 0)
-                idle_cv_.notify_all();
-        }
-    }
-}
-
 std::vector<CaseResult>
 runCases(const std::vector<SweepCase> &cases, unsigned jobs)
 {

@@ -8,10 +8,10 @@
  * returns a value-only CaseResult, so cases are embarrassingly
  * parallel. This header provides:
  *
- *   - ThreadPool: a fixed-size worker pool (the "sweep engine"),
- *   - runOrdered(): run N indexed jobs on the pool and return their
- *     results in submission order, so downstream output (tables,
- *     run-report JSON) is byte-identical regardless of worker count,
+ *   - runOrdered(): run N indexed jobs on up to `jobs` worker threads
+ *     and return their results in index order, so downstream output
+ *     (tables, run-report JSON) is byte-identical regardless of worker
+ *     count,
  *   - SweepCase / runCases(): the (trace, scheme, options) job model
  *     used by the CLI sweep mode, the HPS case study and the benches.
  *
@@ -25,11 +25,9 @@
 #ifndef EMMCSIM_CORE_SWEEP_HH
 #define EMMCSIM_CORE_SWEEP_HH
 
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
+#include <atomic>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -48,54 +46,11 @@ namespace emmcsim::core {
 unsigned effectiveJobs(unsigned requested);
 
 /**
- * A fixed-size pool of worker threads draining a FIFO task queue.
- *
- * post() may be called from the owning thread only; tasks themselves
- * must not post. wait() blocks until every posted task has finished.
- * The destructor drains the queue before joining the workers.
- */
-class ThreadPool
-{
-  public:
-    /** @param jobs Worker count; 0 = effectiveJobs(0). */
-    explicit ThreadPool(unsigned jobs = 0);
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Drains outstanding tasks, then joins the workers. */
-    ~ThreadPool();
-
-    /** Number of worker threads. */
-    unsigned workerCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** Enqueue one task (owning thread only). */
-    void post(std::function<void()> task);
-
-    /** Block until the queue is empty and no task is running. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable task_cv_; ///< workers: "queue non-empty"
-    std::condition_variable idle_cv_; ///< wait(): "everything done"
-    std::deque<std::function<void()>> queue_;
-    std::size_t active_ = 0; ///< tasks currently executing
-    bool stop_ = false;
-    std::vector<std::thread> workers_; ///< last: joined before members die
-};
-
-/**
- * Run @p fn(0) .. @p fn(count-1) on up to @p jobs workers and return
- * the results indexed by job — submission order, independent of
- * completion order. @p fn is invoked concurrently from several
- * threads and must be safe to call that way (runCase() is: all its
- * state is per-call). If jobs throw, the exception of the
+ * Run @p fn(0) .. @p fn(count-1) on min(effectiveJobs(@p jobs),
+ * @p count) worker threads and return the results indexed by job,
+ * independent of completion order. @p fn is invoked concurrently from
+ * several threads and must be safe to call that way (runCase() is:
+ * all its state is per-call). If jobs throw, the exception of the
  * lowest-indexed failing job is rethrown after all jobs finish.
  */
 template <typename Fn>
@@ -106,19 +61,26 @@ runOrdered(std::size_t count, unsigned jobs, Fn &&fn)
     using R = std::invoke_result_t<Fn &, std::size_t>;
     std::vector<std::optional<R>> slots(count);
     std::vector<std::exception_ptr> errors(count);
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < count; ++i) {
-            pool.post([&slots, &errors, &fn, i] {
-                try {
-                    slots[i].emplace(fn(i));
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
+    // Workers claim indices in increasing order, so jobs start in
+    // index order whatever the worker count.
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < count; i = next++) {
+            try {
+                slots[i].emplace(fn(i));
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-        pool.wait();
-    }
+    };
+    const std::size_t n =
+        std::min<std::size_t>(effectiveJobs(jobs), count);
+    std::vector<std::thread> workers;
+    workers.reserve(n);
+    for (std::size_t w = 0; w < n; ++w)
+        workers.emplace_back(work);
+    for (std::thread &w : workers)
+        w.join();
     for (const std::exception_ptr &e : errors) {
         if (e)
             std::rethrow_exception(e);
@@ -145,8 +107,8 @@ struct SweepCase
 };
 
 /**
- * Replay every case on a pool of @p jobs workers (0 = hardware
- * concurrency) and return the results in submission order.
+ * Replay every case on up to @p jobs workers (0 = hardware
+ * concurrency) and return the results in case order.
  */
 std::vector<CaseResult> runCases(const std::vector<SweepCase> &cases,
                                  unsigned jobs = 0);

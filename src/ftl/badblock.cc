@@ -60,8 +60,8 @@ BadBlockManager::declareSpaceExhausted()
     if (readOnlyCause_ != ReadOnlyCause::None)
         return;
     readOnlyCause_ = ReadOnlyCause::SpaceExhaustion;
-    sim::warn("bbm", "device out of reclaimable space in every pool; "
-                     "device is now read-only");
+    sim::warn("bbm", "device out of reclaimable space; device is now "
+                     "read-only");
 }
 
 template <typename Self, typename IO>

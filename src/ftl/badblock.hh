@@ -35,7 +35,7 @@ enum class ReadOnlyCause : std::uint8_t
 {
     None,            ///< still writable
     SpareExhaustion, ///< a plane-pool retired more blocks than spares
-    SpaceExhaustion, ///< no pool can reclaim another free page
+    SpaceExhaustion, ///< no pool takes the write, or GC has no room
 };
 
 /** One grown-bad-block table entry. */
@@ -117,7 +117,8 @@ class BadBlockManager
     ReadOnlyCause readOnlyCause() const { return readOnlyCause_; }
 
     /**
-     * Declare the FTL out of reclaimable space in every pool: the
+     * Declare the FTL out of space: no pool can take the write, or a
+     * blocking GC round ran out of pages to relocate into. The
      * graceful-degradation replacement for dying on a full device.
      */
     void declareSpaceExhausted();

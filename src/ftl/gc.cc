@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -69,7 +70,7 @@ GarbageCollector::pickVictim(const flash::BlockPool &pool) const
 
 sim::Time
 GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
-                             sim::Time earliest)
+                             sim::Time earliest, bool &reclaimed)
 {
     auto &bp = array_.plane(plane_linear).pool(pool);
     std::int32_t victim = pickVictim(bp);
@@ -106,13 +107,22 @@ GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
     // Compact the live units into fresh pages of the same plane-pool.
     std::size_t i = 0;
     while (i < live.size()) {
-        flash::Ppn dst = copybackProgramChecked(plane_linear, pool, t);
+        const std::optional<flash::Ppn> dst =
+            copybackProgramChecked(plane_linear, pool, t);
+        if (!dst) {
+            // Out of relocation space (failures ate the free pages):
+            // end the round with the victim's remaining live units in
+            // place.
+            reclaimed = false;
+            return t;
+        }
         for (std::uint32_t u = 0; u < upp && i < live.size(); ++u, ++i)
             relocateUnit(plane_linear, pool, live[i].srcPpn,
-                         live[i].srcUnit, dst, u);
+                         live[i].srcUnit, *dst, u);
     }
 
     // The victim now holds no live units; reclaim (erase or retire) it.
+    reclaimed = true;
     return reclaimBlock(plane_linear, pool, vb, t);
 }
 
@@ -142,13 +152,15 @@ GarbageCollector::relocateUnit(std::uint32_t plane_linear,
     ++stats_.relocatedUnits;
 }
 
-flash::Ppn
+std::optional<flash::Ppn>
 GarbageCollector::copybackProgramChecked(std::uint32_t plane_linear,
                                          std::uint32_t pool, sim::Time &t)
 {
     auto &bp = array_.plane(plane_linear).pool(pool);
     std::uint32_t attempts = 0;
     for (;;) {
+        if (!bp.hasFreePage())
+            return std::nullopt;
         flash::Ppn dst = bp.allocatePage();
         flash::OpResult pr = array_.copybackProgram(
             flash::pageAddr(array_.geometry(), plane_linear, pool, dst), t);
@@ -166,8 +178,6 @@ GarbageCollector::copybackProgramChecked(std::uint32_t plane_linear,
         EMMCSIM_ASSERT(++attempts <= 16,
                        "GC copyback relocation not converging under "
                        "program failures");
-        EMMCSIM_ASSERT(bp.hasFreePage(),
-                       "GC ran out of relocation space mid-collection");
     }
 }
 
@@ -233,10 +243,18 @@ GarbageCollector::ensureFreePage(std::uint32_t plane_linear,
                            std::to_string(plane_linear) + ", pool " +
                            std::to_string(pool) + ", free " +
                            std::to_string(bp.freeBlockCount()) + ")");
-        sim::Time done = collectOne(plane_linear, pool, t);
+        bool reclaimed = false;
+        sim::Time done = collectOne(plane_linear, pool, t, reclaimed);
         stats_.blockingTime += done - t;
         ++stats_.blockingRounds;
         t = done;
+        // A round that ran out of relocation space left the pool with
+        // no free page, and another round would find the same victim:
+        // the device is out of space and turns read-only.
+        if (!reclaimed) {
+            bbm_.declareSpaceExhausted();
+            break;
+        }
     }
     if (rounds > 0) {
         EMMCSIM_LOG_DEBUG(
@@ -318,12 +336,15 @@ GarbageCollector::relocateSome(std::uint32_t plane_linear,
         // One destination page per source page; an incremental step
         // does not compact across pages (slightly less dense, far
         // simpler preemption).
-        flash::Ppn dst = copybackProgramChecked(plane_linear, pool, t);
+        const std::optional<flash::Ppn> dst =
+            copybackProgramChecked(plane_linear, pool, t);
+        if (!dst)
+            break; // program failures used up the free pages
 
         std::uint32_t dst_unit = 0;
         for (std::uint32_t u = 0; u < upp; ++u) {
             if (bp.unitValid(src_ppn, u))
-                relocateUnit(plane_linear, pool, src_ppn, u, dst,
+                relocateUnit(plane_linear, pool, src_ppn, u, *dst,
                              dst_unit++);
         }
         ++moved;

@@ -15,6 +15,7 @@
 #define EMMCSIM_FTL_GC_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "flash/array.hh"
 #include "ftl/badblock.hh"
@@ -99,7 +100,9 @@ class GarbageCollector
      * page, running blocking GC rounds when the free-block count falls
      * below the hard threshold. When erase failures eat the reserve
      * faster than GC can rebuild it, the loop stops once no victim
-     * remains; callers must re-check hasFreePage() before allocating.
+     * remains; a round that runs out of relocation space stops it too
+     * and declares the device out of space (read-only). Callers must
+     * re-check hasFreePage() before allocating.
      *
      * @param earliest Earliest time the GC flash operations may start.
      * @return Completion time of any GC work (== @p earliest if none).
@@ -152,11 +155,14 @@ class GarbageCollector
 
     /**
      * Collect one block in (plane, pool): relocate live units within
-     * the plane using copyback, then erase the victim.
-     * @return Completion time of the erase.
+     * the plane using copyback, then erase the victim. When the pool
+     * runs out of free pages mid-relocation the round ends early, the
+     * victim keeps its remaining live units and @p reclaimed is false.
+     * @return Completion time of the erase (or of the last relocation
+     *         when the round ended early).
      */
     sim::Time collectOne(std::uint32_t plane_linear, std::uint32_t pool,
-                         sim::Time earliest);
+                         sim::Time earliest, bool &reclaimed);
 
     /**
      * Find the neediest plane-pool below the soft watermark with an
@@ -183,10 +189,12 @@ class GarbageCollector
      * suspect) on a program-status failure.
      *
      * @param t In/out flash-time cursor.
-     * @return The physical page the data finally landed in.
+     * @return The physical page the data finally landed in, or
+     *         nullopt when the pool has no free page left for it.
      */
-    flash::Ppn copybackProgramChecked(std::uint32_t plane_linear,
-                                      std::uint32_t pool, sim::Time &t);
+    std::optional<flash::Ppn>
+    copybackProgramChecked(std::uint32_t plane_linear, std::uint32_t pool,
+                           sim::Time &t);
 
     /**
      * Move the live unit in slot @p src_unit of page @p src to slot

@@ -84,20 +84,7 @@ class Replayer::FoldSink final : public Replayer::Sink
     finish(sim::Time arrival, const emmc::CompletedRequest &c) override
     {
         ++res_.requests;
-        if (c.request.write) {
-            ++res_.writeRequests;
-            res_.writeBytes += c.request.sizeBytes;
-        } else {
-            res_.readBytes += c.request.sizeBytes;
-        }
-        if (res_.firstArrival < 0)
-            res_.firstArrival = arrival;
-        res_.lastArrival = std::max(res_.lastArrival, arrival);
-        res_.lastFinish = std::max(res_.lastFinish, c.finish);
-        const double resp_ms = sim::toMilliseconds(c.finish - arrival);
-        res_.responseMs.add(resp_ms);
-        res_.responseHistMs.add(resp_ms);
-        res_.serviceMs.add(sim::toMilliseconds(c.finish - c.serviceStart));
+        res_.responseHistMs.add(sim::toMilliseconds(c.finish - arrival));
     }
 
   private:

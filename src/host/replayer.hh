@@ -117,26 +117,18 @@ struct ReplayStats
 };
 
 /**
- * Aggregate measurements of one streaming replay. replayStream()
- * cannot hand back a timestamp-filled Trace — materializing one would
- * defeat the point of streaming — so it folds every completion into
- * bounded accumulators instead: Welford means plus a fixed-bucket
- * histogram (percentileEstimate for tails), never per-record storage.
+ * What one streaming replay returns. replayStream() cannot hand back
+ * a timestamp-filled Trace — materializing one would defeat the point
+ * of streaming — so it folds every completion into a fixed-bucket
+ * response-time histogram (percentileEstimate for tails), never
+ * per-record storage. Means and counts come from the device's own
+ * statistics (EmmcDevice::stats()).
  */
 struct StreamReplayResult
 {
+    /** Requests completed (each counted once, after retries). */
     std::uint64_t requests = 0;
-    std::uint64_t writeRequests = 0;
-    units::Bytes readBytes{0};
-    units::Bytes writeBytes{0};
-    sim::Time firstArrival = -1;
-    sim::Time lastArrival = 0;
-    sim::Time lastFinish = 0;
-    /** Response time (finish - original arrival), ms. */
-    sim::OnlineStats responseMs;
-    /** Service time of the final attempt, ms. */
-    sim::OnlineStats serviceMs;
-    /** Response-time distribution for tail estimates, ms. */
+    /** Response time (finish - original arrival) distribution, ms. */
     sim::Histogram responseHistMs{sim::latencyBoundsMs()};
 };
 

@@ -46,7 +46,7 @@ struct ObserverOptions
 {
     /** Register metrics and take an end-of-run snapshot. */
     bool metrics = false;
-    /** Record request / flash-op spans for trace export. */
+    /** Record request / flash-op spans for the Chrome trace export. */
     bool traceSpans = false;
     /**
      * Sampler window in simulated ns; > 0 enables windowed series

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
-#include <unordered_map>
+#include <string>
 
 #include "obs/json.hh"
 
@@ -89,50 +89,6 @@ RequestTracer::onFlashOp(flash::OpKind kind, const flash::PageAddr &addr,
     s.status = result.status;
     s.retries = result.retries;
     ops_.push_back(s);
-}
-
-trace::Trace
-RequestTracer::toTrace(std::string name) const
-{
-    // Completion order is service order, not arrival order (a packed
-    // command completes several requests at once); rebuild arrival
-    // order, keeping the last span per id should one ever repeat.
-    std::vector<const RequestSpan *> ordered;
-    {
-        std::unordered_map<std::uint64_t, const RequestSpan *> last;
-        last.reserve(requests_.size());
-        for (const RequestSpan &s : requests_)
-            last[s.id] = &s;
-        ordered.reserve(last.size());
-        for (const RequestSpan &s : requests_) {
-            if (last.at(s.id) == &s)
-                ordered.push_back(&s);
-        }
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const RequestSpan *a, const RequestSpan *b) {
-                         return a->arrival < b->arrival;
-                     });
-
-    trace::Trace out(std::move(name));
-    for (const RequestSpan *s : ordered) {
-        trace::TraceRecord r;
-        r.arrival = s->arrival;
-        r.lbaSector = s->lbaSector;
-        r.sizeBytes = s->sizeBytes;
-        r.op = s->write ? trace::OpType::Write : trace::OpType::Read;
-        r.serviceStart = s->serviceStart;
-        r.finish = s->finish;
-        out.push(r);
-    }
-    return out;
-}
-
-void
-RequestTracer::exportBiotracerCsv(std::ostream &os,
-                                  std::string name) const
-{
-    toTrace(std::move(name)).save(os);
 }
 
 void

@@ -1,9 +1,10 @@
 /**
  * @file
  * obs::RequestTracer: opt-in recorder of per-request and per-flash-op
- * spans, exportable as an emmctrace text file (BIOtracer's three
- * timestamps, round-trippable through trace::Trace) or a Chrome
- * trace_event JSON file loadable in Perfetto / chrome://tracing.
+ * spans, exportable as a Chrome trace_event JSON file loadable in
+ * Perfetto / chrome://tracing. (BIOtracer's three timestamps per
+ * request have one producer, the replayer: core::CaseResult::replayed,
+ * which `emmcsim_cli --trace-csv` saves.)
  *
  * obs::DeviceObserver feeds the tracer from two existing observation
  * points — the device's per-request trace hook and the flash array's
@@ -32,12 +33,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "emmc/request.hh"
 #include "flash/array.hh"
-#include "trace/trace.hh"
 
 namespace emmcsim::obs {
 
@@ -56,17 +55,6 @@ class RequestTracer
 
     std::size_t requestCount() const { return requests_.size(); }
     std::size_t flashOpCount() const { return ops_.size(); }
-
-    /**
-     * Rebuild a trace::Trace carrying BIOtracer's three timestamps,
-     * one record per completed request, arrival-ordered. Saving it
-     * reproduces the emmctrace v1 text format, so a traced run's
-     * export round-trips through trace::Trace::load.
-     */
-    trace::Trace toTrace(std::string name) const;
-
-    /** Serialize toTrace(@p name) in the emmctrace text format. */
-    void exportBiotracerCsv(std::ostream &os, std::string name) const;
 
     /**
      * Serialize every span as Chrome trace_event JSON: request service

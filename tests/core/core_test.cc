@@ -148,3 +148,34 @@ TEST(ExperimentFaults, AgedDeviceUnderSeededFaultsAuditsClean)
         << r.audit.totalViolations() << " violation(s)";
     EXPECT_GE(r.audit.passes, 2u) << "periodic audits never fired";
 }
+
+TEST(ExperimentFaults, AgedDeviceOutOfRelocationSpaceGoesReadOnly)
+{
+    // Program and erase failures on an aged, shrunken device eat the
+    // free pages a blocking GC round relocates into. When a round runs
+    // out mid-collection it must end and leave the victim's remaining
+    // live units in place, so the device degrades to read-only instead
+    // of dying in the allocator.
+    const workload::AppProfile *p = workload::findProfile("Twitter");
+    ASSERT_NE(p, nullptr);
+    workload::TraceGenerator gen(*p, /*seed=*/1);
+    trace::Trace t = gen.generate(/*scale=*/0.05);
+
+    ExperimentOptions opts;
+    opts.capacityScale = 1.0 / 64.0;
+    opts.prefill = 0.7;
+    opts.fault.enabled = true;
+    opts.fault.seed = 11;
+    opts.fault.baseRber = 3e-4;
+    opts.fault.programFailProb = 1e-2;
+    opts.fault.eraseFailProb = 2e-2;
+    opts.auditEveryEvents = 500;
+    CaseResult r = runCase(t, SchemeKind::HPS, opts);
+
+    EXPECT_TRUE(r.deviceReadOnly);
+    EXPECT_GT(r.gcBlockingRounds, 0u);
+    EXPECT_GT(r.eraseFailures, 0u);
+    EXPECT_TRUE(r.audit.clean())
+        << r.audit.totalViolations() << " violation(s)";
+    EXPECT_GE(r.audit.passes, 2u) << "periodic audits never fired";
+}

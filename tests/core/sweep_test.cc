@@ -1,6 +1,6 @@
 /**
  * @file
- * core::Sweep tests: pool mechanics, ordered collection, exception
+ * core::Sweep tests: worker mechanics, ordered collection, exception
  * propagation, and the headline determinism contract — a sweep's
  * aggregate artifacts are byte-identical for any worker count.
  */
@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -31,27 +33,38 @@ TEST(EffectiveJobsTest, NeverReturnsZero)
     EXPECT_EQ(core::effectiveJobs(7), 7u);
 }
 
-TEST(ThreadPoolTest, RunsEveryPostedTask)
+/**
+ * Run @p count jobs on @p jobs workers; every index must run exactly
+ * once, on no more than min(jobs, count) distinct threads.
+ */
+void
+expectEveryIndexRunsOnce(std::size_t count, unsigned jobs)
 {
-    core::ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 64; ++i)
-        pool.post([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 64);
+    std::vector<std::atomic<int>> runs(count);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    std::vector<std::size_t> out =
+        core::runOrdered(count, jobs, [&](std::size_t i) {
+            runs[i].fetch_add(1);
+            std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+            return i;
+        });
+    ASSERT_EQ(out.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+        EXPECT_EQ(out[i], i);
+    }
+    EXPECT_LE(threads.size(), std::min<std::size_t>(jobs, count));
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u)
+        << "jobs run on worker threads, not the caller";
 }
 
-TEST(ThreadPoolTest, WaitIsReusableAcrossWaves)
+TEST(RunOrderedTest, EveryIndexRunsOnce)
 {
-    core::ThreadPool pool(2);
-    std::atomic<int> done{0};
-    for (int wave = 0; wave < 3; ++wave) {
-        for (int i = 0; i < 8; ++i)
-            pool.post([&done] { done.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(done.load(), (wave + 1) * 8);
-    }
+    expectEveryIndexRunsOnce(64, 4);
+    expectEveryIndexRunsOnce(3, 8); // count < jobs
+    expectEveryIndexRunsOnce(0, 4); // nothing to run, no worker
 }
 
 TEST(RunOrderedTest, ResultsComeBackInSubmissionOrder)

@@ -168,8 +168,9 @@ class DiffRig
         const MetaJournal &j = ftl_.journal();
 
         // Only the last host program can be in flight at the cut; its
-        // page is torn.
+        // page is torn. Copy its location before forgetting it.
         const bool torn = lastWrite_ && lastWriteDone_ > crash;
+        const MapEntry torn_at = torn ? *lastWrite_ : MapEntry{};
         rep.tornPages = torn ? 1 : 0;
         lastWrite_.reset();
 
@@ -185,7 +186,7 @@ class DiffRig
                     at.pool = static_cast<std::uint16_t>(k);
                     at.ppn = flash::Ppn{p};
                     const std::uint64_t seq = bp.pageSeq(at.ppn);
-                    if (seq == 0 || (torn && isTornPage(at)))
+                    if (seq == 0 || (torn && samePage(at, torn_at)))
                         continue;
                     for (std::uint32_t u = 0; u < bp.unitsPerPage();
                          ++u) {
@@ -268,11 +269,11 @@ class DiffRig
         return ref;
     }
 
-    bool
-    isTornPage(const MapEntry &at) const
+    static bool
+    samePage(const MapEntry &a, const MapEntry &b)
     {
-        return at.planeLinear == lastWrite_->planeLinear &&
-               at.pool == lastWrite_->pool && at.ppn == lastWrite_->ppn;
+        return a.planeLinear == b.planeLinear && a.pool == b.pool &&
+               a.ppn == b.ppn;
     }
 
     static void

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "check/durability.hh"
 #include "core/experiment.hh"
@@ -69,61 +70,101 @@ mixedTrace(std::size_t n)
 
 } // namespace
 
+namespace {
+
+/** One device completion as the device's trace hook reports it. */
+struct Completion
+{
+    std::uint64_t id = 0;
+    sim::Time arrival = 0;
+    sim::Time serviceStart = 0;
+    sim::Time finish = 0;
+
+    bool operator==(const Completion &) const = default;
+};
+
+/** Every completion of one replay, in completion order. */
+struct Replayed
+{
+    std::vector<Completion> completions;
+    trace::Trace out; ///< stamped trace (in-memory path only)
+    host::StreamReplayResult stream; ///< stream path only
+};
+
+/** Replay @p t on a fresh tiny device through replay() or
+ *  replayStream(), capturing every completion from the trace hook. */
+Replayed
+replayCapturing(const trace::Trace &t, bool stream)
+{
+    sim::Simulator s;
+    auto dev = tinyDevice(s);
+    Replayed r;
+    dev->setTraceHook([&r](const emmc::CompletedRequest &c) {
+        r.completions.push_back(
+            {c.request.id, c.request.arrival, c.serviceStart, c.finish});
+    });
+    host::Replayer rep(s, *dev);
+    if (stream) {
+        trace::MemoryTraceSource src(t);
+        r.stream = rep.replayStream(src);
+    } else {
+        r.out = rep.replay(t);
+    }
+    return r;
+}
+
+void
+expectSameCompletions(const std::vector<Completion> &a,
+                      const std::vector<Completion> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i], b[i])
+            << "completion " << i << ": id " << a[i].id << " vs "
+            << b[i].id << ", finish " << a[i].finish << " vs "
+            << b[i].finish;
+    }
+}
+
+} // namespace
+
 TEST(StreamReplay, MatchesInMemoryReplay)
 {
     const trace::Trace t = mixedTrace(400);
+    const Replayed mem = replayCapturing(t, /*stream=*/false);
+    const Replayed str = replayCapturing(t, /*stream=*/true);
 
-    sim::Simulator s1;
-    auto dev1 = tinyDevice(s1);
-    host::Replayer rep1(s1, *dev1);
-    const trace::Trace out = rep1.replay(t);
+    // Both paths schedule arrivals in the same sequence band, so the
+    // device sees an identical event order: every completion matches
+    // in id, arrival, service start and finish, in the same order.
+    ASSERT_EQ(mem.completions.size(), t.size());
+    expectSameCompletions(mem.completions, str.completions);
 
-    sim::Simulator s2;
-    auto dev2 = tinyDevice(s2);
-    host::Replayer rep2(s2, *dev2);
-    trace::MemoryTraceSource src(t);
-    const host::StreamReplayResult sres = rep2.replayStream(src);
-
-    ASSERT_EQ(sres.requests, t.size());
-    EXPECT_EQ(sres.writeRequests, t.writeCount());
-    EXPECT_EQ(sres.readBytes + sres.writeBytes, t.totalBytes());
-    EXPECT_EQ(sres.writeBytes, t.writtenBytes());
-    EXPECT_EQ(sres.firstArrival, t[0].arrival);
-    EXPECT_EQ(sres.lastArrival, t[t.size() - 1].arrival);
-
-    // Per-record aggregates must agree exactly with the stamped trace:
-    // both paths schedule arrivals in the same sequence band, so the
-    // device sees an identical event order.
-    sim::Time last_finish = 0;
-    sim::OnlineStats resp;
-    sim::OnlineStats svc;
-    for (const auto &r : out.records()) {
-        last_finish = std::max(last_finish, r.finish);
-        resp.add(sim::toMilliseconds(r.responseTime()));
-        svc.add(sim::toMilliseconds(r.serviceTime()));
+    // The stamped trace carries exactly the device's timestamps, and
+    // the streamed histogram folds exactly its response times.
+    sim::Histogram hist(sim::latencyBoundsMs());
+    for (const Completion &c : mem.completions) {
+        const trace::TraceRecord &r = mem.out[c.id];
+        EXPECT_EQ(r.serviceStart, c.serviceStart);
+        EXPECT_EQ(r.finish, c.finish);
+        hist.add(sim::toMilliseconds(r.responseTime()));
     }
-    EXPECT_EQ(sres.lastFinish, last_finish);
-    EXPECT_EQ(sres.responseMs.count(), out.size());
-    EXPECT_DOUBLE_EQ(sres.responseMs.mean(), resp.mean());
-    EXPECT_DOUBLE_EQ(sres.serviceMs.mean(), svc.mean());
-    EXPECT_EQ(sres.responseHistMs.total(), out.size());
+    ASSERT_EQ(str.stream.requests, t.size());
+    ASSERT_EQ(str.stream.responseHistMs.bucketCount(), hist.bucketCount());
+    for (std::size_t i = 0; i < hist.bucketCount(); ++i)
+        EXPECT_EQ(str.stream.responseHistMs.bucketCountAt(i),
+                  hist.bucketCountAt(i))
+            << "bucket " << i;
 }
 
 TEST(StreamReplay, DeterministicAcrossRuns)
 {
     const trace::Trace t = mixedTrace(200);
-    host::StreamReplayResult r[2];
-    for (int i = 0; i < 2; ++i) {
-        sim::Simulator s;
-        auto dev = tinyDevice(s);
-        host::Replayer rep(s, *dev);
-        trace::MemoryTraceSource src(t);
-        r[i] = rep.replayStream(src);
-    }
-    EXPECT_EQ(r[0].requests, r[1].requests);
-    EXPECT_EQ(r[0].lastFinish, r[1].lastFinish);
-    EXPECT_DOUBLE_EQ(r[0].responseMs.mean(), r[1].responseMs.mean());
-    EXPECT_DOUBLE_EQ(r[0].serviceMs.mean(), r[1].serviceMs.mean());
+    const Replayed a = replayCapturing(t, /*stream=*/true);
+    const Replayed b = replayCapturing(t, /*stream=*/true);
+    ASSERT_EQ(a.completions.size(), t.size());
+    expectSameCompletions(a.completions, b.completions);
+    EXPECT_EQ(a.stream.requests, b.stream.requests);
 }
 
 TEST(StreamReplay, CaseResultColumnsMatchInMemoryPath)

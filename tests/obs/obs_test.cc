@@ -330,35 +330,8 @@ TEST(ObsEndToEndTest, TracerExportsAreDeterministic)
     const core::CaseResult a = replayObserved(t);
     const core::CaseResult b = replayObserved(t);
     ASSERT_FALSE(a.obs.chromeTrace.empty());
-    ASSERT_FALSE(a.obs.biotracerTrace.empty());
     // Two identical seeded runs must produce byte-identical exports.
     EXPECT_EQ(a.obs.chromeTrace, b.obs.chromeTrace);
-    EXPECT_EQ(a.obs.biotracerTrace, b.obs.biotracerTrace);
-}
-
-TEST(ObsEndToEndTest, BiotracerExportRoundTripsThroughTrace)
-{
-    const trace::Trace t = smallTrace();
-    const core::CaseResult res = replayObserved(t);
-
-    std::istringstream is(res.obs.biotracerTrace);
-    trace::Trace parsed;
-    trace::TraceLoadError error;
-    ASSERT_TRUE(trace::Trace::tryLoad(is, parsed, error))
-        << error.reason;
-    EXPECT_EQ(parsed.name(), t.name());
-    ASSERT_EQ(parsed.size(), res.replayed.size());
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-        const trace::TraceRecord &got = parsed[i];
-        const trace::TraceRecord &want = res.replayed[i];
-        EXPECT_EQ(got.arrival, want.arrival) << "record " << i;
-        EXPECT_EQ(got.lbaSector, want.lbaSector) << "record " << i;
-        EXPECT_EQ(got.sizeBytes, want.sizeBytes) << "record " << i;
-        EXPECT_EQ(got.op, want.op) << "record " << i;
-        EXPECT_EQ(got.serviceStart, want.serviceStart)
-            << "record " << i;
-        EXPECT_EQ(got.finish, want.finish) << "record " << i;
-    }
 }
 
 TEST(ObsEndToEndTest, ZeroCostWhenOff)

@@ -73,7 +73,7 @@ BM_FtlPowerFailRecover(benchmark::State &state)
         ftl::Ftl ftl(array, cfg);
         sim::Time t = 0;
         for (std::int64_t l = 0; l < dirty; ++l)
-            t = ftl.writeGroup(0, {flash::Lpn{l}}, t).done;
+            t = ftl.writeGroup(0, flash::Lpn{l}, 1, t).done;
         state.ResumeTiming();
 
         rep = ftl.powerFailAndRecover(t + 1);
@@ -161,9 +161,7 @@ replayedDevice(sim::Simulator &s)
     cfg.geometry = benchGeom();
     cfg.timing = benchTiming();
     cfg.ftl.opRatio = 0.25;
-    auto dev = std::make_unique<emmc::EmmcDevice>(
-        s, cfg, std::make_unique<ftl::SinglePoolDistributor>(0, 1,
-                                                             "4PS"));
+    auto dev = std::make_unique<emmc::EmmcDevice>(s, cfg);
     host::Replayer rep(s, *dev);
     rep.replay(fixedStream());
     return dev;
@@ -207,9 +205,7 @@ BM_DeviceSnapshotLoad(benchmark::State &state)
     for (auto _ : state) {
         sim::Simulator s;
         s.restoreClock(capture);
-        emmc::EmmcDevice dev(
-            s, cfg, std::make_unique<ftl::SinglePoolDistributor>(
-                        0, 1, "4PS"));
+        emmc::EmmcDevice dev(s, cfg);
         core::BinReader r(image);
         dev.load(r);
         benchmark::DoNotOptimize(dev.ftl().logicalUnits());

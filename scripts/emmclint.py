@@ -42,6 +42,9 @@ clang-tidy check for us:
                        Every header under src/ must compile on its
                        own (g++ -fsyntax-only).  Include-order
                        coupling between headers is how refactors rot.
+                       The CMake build holds the same rule
+                       (emmc_header_probes), so ctest runs this
+                       linter with --no-headers.
 
 Suppress a finding by putting `// emmclint: allow(<rule>)` on the
 offending line or the line directly above it.

@@ -62,17 +62,15 @@ prefillDevice(emmc::EmmcDevice &device, double fraction)
     const auto limit = static_cast<std::uint64_t>(
         static_cast<double>(ftl.logicalUnits()) * fraction);
 
-    std::vector<ftl::PageGroup> groups;
     constexpr std::uint32_t kChunkUnits = 64;
     auto install = [&](std::uint64_t u) {
-        groups.clear();
-        device.distributor().splitWrite(
-            static_cast<flash::Lpn>(u), kChunkUnits, groups);
-        for (const auto &g : groups) {
-            // A full pool simply stays full: the rest of the aged
-            // image lands wherever room remains (installGroup skips).
-            ftl.installGroup(g.pool, g.lpns);
-        }
+        // A full pool simply stays full: the rest of the aged image
+        // lands wherever room remains (installGroup skips).
+        ftl.writeSplit().split(static_cast<flash::Lpn>(u), kChunkUnits,
+                               [&](const ftl::PageGroup &g) {
+                                   ftl.installGroup(g.pool, g.first,
+                                                    g.count);
+                               });
     };
     for (std::uint64_t u = 0; u + kChunkUnits <= limit;
          u += kChunkUnits) {

@@ -1,6 +1,5 @@
 #include "core/scheme.hh"
 
-#include "core/hps.hh"
 #include "sim/logging.hh"
 
 namespace emmcsim::core {
@@ -46,28 +45,20 @@ schemeConfig(SchemeKind kind)
     sim::panic("unknown scheme kind");
 }
 
-std::unique_ptr<ftl::RequestDistributor>
-schemeDistributor(SchemeKind kind)
-{
-    switch (kind) {
-      case SchemeKind::PS4:
-        return std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS");
-      case SchemeKind::PS8:
-        return std::make_unique<ftl::SinglePoolDistributor>(0, 2, "8PS");
-      case SchemeKind::HPS:
-      case SchemeKind::HSLC:
-        return std::make_unique<HpsDistributor>(emmc::kHps4kPool,
-                                                emmc::kHps8kPool);
-    }
-    sim::panic("unknown scheme kind");
-}
-
 std::unique_ptr<emmc::EmmcDevice>
 makeDevice(sim::Simulator &simulator, SchemeKind kind,
            const emmc::EmmcConfig &cfg)
 {
-    return std::make_unique<emmc::EmmcDevice>(simulator, cfg,
-                                              schemeDistributor(kind));
+    // The pool layout decides the write split, so a config built for
+    // another scheme would silently simulate that scheme instead.
+    const auto &want = schemeConfig(kind).geometry.pools;
+    const auto &have = cfg.geometry.pools;
+    bool same = want.size() == have.size();
+    for (std::size_t k = 0; same && k < want.size(); ++k)
+        same = want[k].pageBytes == have[k].pageBytes;
+    EMMCSIM_ASSERT(same, "makeDevice: config pool page sizes do not "
+                         "match the scheme's");
+    return std::make_unique<emmc::EmmcDevice>(simulator, cfg);
 }
 
 std::unique_ptr<emmc::EmmcDevice>

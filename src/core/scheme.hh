@@ -33,17 +33,14 @@ std::string schemeName(SchemeKind kind);
 /** Table V configuration of @p kind. */
 emmc::EmmcConfig schemeConfig(SchemeKind kind);
 
-/** The write distributor matching @p kind's pool layout. */
-std::unique_ptr<ftl::RequestDistributor>
-schemeDistributor(SchemeKind kind);
-
 /**
  * Build a device of the given scheme on @p simulator.
  *
  * @param kind  Scheme to build.
  * @param cfg   Configuration (usually schemeConfig(kind), possibly
- *        with experiment toggles applied). Its pool layout must match
- *        the scheme.
+ *        with experiment toggles applied). Its pool page sizes must
+ *        equal schemeConfig(kind)'s (asserted): the pool layout alone
+ *        decides the write split.
  */
 std::unique_ptr<emmc::EmmcDevice>
 makeDevice(sim::Simulator &simulator, SchemeKind kind,

@@ -50,8 +50,6 @@ makeHpsConfig()
     c.geometry.pools = {flash::PoolConfig{4096, 512},
                         flash::PoolConfig{8192, 256}};
     c.timing.pools = {flash::Timing::page4k(), flash::Timing::page8k()};
-    // Unmapped reads are timed against the 4KB pool by default.
-    c.ftl.defaultReadPool = kHps4kPool;
     return c;
 }
 

@@ -6,11 +6,9 @@
 
 namespace emmcsim::emmc {
 
-EmmcDevice::EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg,
-                       std::unique_ptr<ftl::RequestDistributor> distributor)
+EmmcDevice::EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg)
     : sim_(simulator),
       cfg_(cfg),
-      dist_(std::move(distributor)),
       injector_(cfg_.fault),
       array_(cfg_.geometry, cfg_.timing, cfg_.multiplane),
       ftl_(array_, cfg_.ftl),
@@ -18,10 +16,6 @@ EmmcDevice::EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg,
       power_(cfg_.power),
       buffer_(cfg_.buffer)
 {
-    EMMCSIM_ASSERT(dist_ != nullptr, "device needs a distributor");
-    // Unmapped reads are timed as if the scheme's own split had laid
-    // the data out (see Ftl::readUnits).
-    ftl_.setPseudoReadDistributor(dist_.get());
     // Only an enabled injector is attached, so a default-configured
     // device runs the exact pre-fault code path (dormant neutrality).
     if (injector_.enabled())
@@ -258,16 +252,15 @@ EmmcDevice::writeRun(flash::Lpn first, std::uint32_t n, sim::Time begin,
     // Attribution: the page group finishing last is the critical
     // chain; the others overlapped it on other planes/channels.
     sim::Time done = begin;
-    scratchGroups_.clear();
-    dist_->splitWrite(first, n, scratchGroups_);
-    for (const ftl::PageGroup &g : scratchGroups_) {
-        ftl::WriteResult w = ftl_.writeGroup(g.pool, g.lpns, begin);
+    ftl_.writeSplit().split(first, n, [&](const ftl::PageGroup &g) {
+        ftl::WriteResult w = ftl_.writeGroup(g.pool, g.first, g.count,
+                                             begin);
         accepted = accepted && w.accepted;
         if (w.done > done) {
             done = w.done;
             chain = w.chain;
         }
-    }
+    });
     return done;
 }
 

@@ -10,7 +10,7 @@
  *
  * Dispatch path per command: optional wake-up from low-power mode,
  * fixed command overhead, optional packed-write merging, then either a
- * mapping-driven read or distributor-split page programs (with any
+ * mapping-driven read or page programs split by Ftl::writeSplit (with any
  * blocking GC inline). Completion fires a simulator event, records the
  * BIOtracer step-2/step-3 timestamps, and starts the next command.
  */
@@ -20,12 +20,10 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/binio.hh"
 #include "emmc/config.hh"
-#include "ftl/distributor.hh"
 #include "emmc/packing.hh"
 #include "emmc/power.hh"
 #include "emmc/ram_buffer.hh"
@@ -118,12 +116,11 @@ class EmmcDevice
         std::function<void(const CompletedRequest &)>;
 
     /**
-     * @param simulator   Event loop the device schedules on.
-     * @param cfg         Full device configuration.
-     * @param distributor Scheme-specific write splitter.
+     * @param simulator Event loop the device schedules on.
+     * @param cfg       Full device configuration; its pool layout
+     *        alone decides how writes split into pages.
      */
-    EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg,
-               std::unique_ptr<ftl::RequestDistributor> distributor);
+    EmmcDevice(sim::Simulator &simulator, const EmmcConfig &cfg);
 
     /** Register the completion callback (single consumer). */
     void setCompletionCallback(CompletionCallback cb)
@@ -232,7 +229,6 @@ class EmmcDevice
     const PowerStats &powerStats() const { return power_.stats(); }
     const PowerManager &power() const { return power_; }
     const BufferStats &bufferStats() const { return buffer_.stats(); }
-    const ftl::RequestDistributor &distributor() const { return *dist_; }
     /** NAND fault injector (inert unless cfg.fault.enabled). */
     fault::FaultInjector &faultInjector() { return injector_; }
     const fault::FaultInjector &faultInjector() const
@@ -285,7 +281,7 @@ class EmmcDevice
                          RequestStatus &status, PhaseLedger &phases);
 
     /**
-     * Split @p n units from @p first into the scheme's page groups and
+     * Split @p n units from @p first into page groups (Ftl::writeSplit) and
      * program them, all starting no earlier than @p begin. Clears
      * @p accepted when any group was rejected (read-only device) and
      * sets @p chain to the breakdown of the group finishing last (left
@@ -307,7 +303,6 @@ class EmmcDevice
 
     sim::Simulator &sim_;
     EmmcConfig cfg_;
-    std::unique_ptr<ftl::RequestDistributor> dist_;
 
     fault::FaultInjector injector_; ///< attached to array_ when enabled
     flash::FlashArray array_;
@@ -353,7 +348,6 @@ class EmmcDevice
     CompletionCallback onComplete_;
     TraceHook traceHook_;
 
-    std::vector<ftl::PageGroup> scratchGroups_;
     std::vector<CompletedRequest> scratchCmd_; ///< command batch reuse
 };
 

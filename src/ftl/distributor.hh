@@ -1,81 +1,89 @@
 /**
  * @file
- * RequestDistributor: scheme-specific write splitting.
+ * WriteSplit: the request distributor's page split, read off the
+ * geometry.
  *
  * The paper's request distributor "splits a request into multiple
- * pages" — how it does so is exactly what distinguishes 4PS, 8PS and
- * HPS. The interface produces *page groups*: each group becomes one
- * physical page program in a chosen pool.
+ * pages", and Section V gives the rule: "when the size of a write
+ * request is 20 KB, it will be divided into two 8-KB sub-requests and
+ * one 4-KB sub-request." 4PS, 8PS and HPS are that one greedy rule on
+ * different pool layouts:
  *
- * Reads normally follow the mapping, but the FTL also consults the
- * distributor to time reads of never-written units (a replay on a
- * brand-new device reads data the original trace wrote before
- * collection started): such units are charged as if they had been laid
- * out by this same split.
+ *  - full pages go to the pool with the most units per page;
+ *  - the remainder fills pages of the pool with the fewest units per
+ *    page (ties go to the lowest pool index in both cases).
+ *
+ * So 4PS writes one 4KB page per unit, 8PS pads an odd tail into a
+ * whole 8KB page (the space loss the paper charges it for), and HPS
+ * serves unit pairs from the 8KB pool and an odd tail from the 4KB
+ * pool, consuming exactly as much flash as a pure 4KB device.
+ *
+ * Each split piece is a PageGroup, one physical page program. Reads
+ * normally follow the mapping, but the FTL also times reads of
+ * never-written units (a replay on a brand-new device reads data the
+ * original trace wrote before collection started) as if this same
+ * split had laid them out.
  */
 
 #ifndef EMMCSIM_FTL_DISTRIBUTOR_HH
 #define EMMCSIM_FTL_DISTRIBUTOR_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "flash/geometry.hh"
 #include "flash/pool.hh"
 
 namespace emmcsim::ftl {
 
-/** One physical page program: pool choice + the units it stores. */
+/** One physical page program: @p count units from @p first, in order. */
 struct PageGroup
 {
     std::uint32_t pool = 0;
-    std::vector<flash::Lpn> lpns;
+    flash::Lpn first{0};
+    std::uint32_t count = 0;
 };
 
-/** Splits write requests into page groups. */
-class RequestDistributor
+/** The greedy page-size split of a geometry's pools. */
+struct WriteSplit
 {
-  public:
-    virtual ~RequestDistributor() = default;
-
+    /** Pool with the most units per page: takes the full pages. */
+    std::uint32_t bulkPool = 0;
+    std::uint32_t bulkUnits = 1;
     /**
-     * Split a write of @p n units starting at @p first.
-     * @param out Receives the page groups (appended in order).
+     * Pool with the fewest units per page: takes the remainder. The
+     * FTL's metadata pages live here too (power-up recovery timing).
      */
-    virtual void splitWrite(flash::Lpn first, std::uint32_t n,
-                            std::vector<PageGroup> &out) const = 0;
+    std::uint32_t tailPool = 0;
+    std::uint32_t tailUnits = 1;
 
-    /** Human-readable scheme label ("4PS", "8PS", "HPS"). */
-    virtual std::string name() const = 0;
-};
+    explicit WriteSplit(const flash::Geometry &g)
+    {
+        for (std::uint32_t k = 0; k < g.pools.size(); ++k) {
+            const std::uint32_t upp = g.pools[k].unitsPerPage();
+            if (k == 0 || upp > bulkUnits) {
+                bulkPool = k;
+                bulkUnits = upp;
+            }
+            if (k == 0 || upp < tailUnits) {
+                tailPool = k;
+                tailUnits = upp;
+            }
+        }
+    }
 
-/**
- * Distributor for single-page-size devices (4PS, 8PS).
- *
- * Cuts the unit run into chunks of the pool's page capacity; a final
- * partial chunk still consumes a whole physical page — the padding
- * loss the paper's space-utilization metric charges 8PS for.
- */
-class SinglePoolDistributor : public RequestDistributor
-{
-  public:
-    /**
-     * @param pool           Pool index all writes target.
-     * @param units_per_page Unit capacity of that pool's pages.
-     * @param label          Scheme label for reports.
-     */
-    SinglePoolDistributor(std::uint32_t pool, std::uint32_t units_per_page,
-                          std::string label);
-
-    void splitWrite(flash::Lpn first, std::uint32_t n,
-                    std::vector<PageGroup> &out) const override;
-
-    std::string name() const override { return label_; }
-
-  private:
-    std::uint32_t pool_;
-    std::uint32_t unitsPerPage_;
-    std::string label_;
+    /** Call @p emit with each PageGroup of @p n units from @p first. */
+    template <typename Emit>
+    void
+    split(flash::Lpn first, std::uint32_t n, Emit &&emit) const
+    {
+        const std::uint32_t full = n - n % bulkUnits;
+        for (std::uint32_t i = 0; i < full; i += bulkUnits)
+            emit(PageGroup{bulkPool, first + i, bulkUnits});
+        for (std::uint32_t i = full; i < n; i += tailUnits)
+            emit(PageGroup{tailPool, first + i,
+                           std::min(tailUnits, n - i)});
+    }
 };
 
 } // namespace emmcsim::ftl

@@ -1,7 +1,6 @@
 #include "ftl/ftl.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "sim/logging.hh"
 
@@ -20,6 +19,7 @@ Ftl::exportedUnits(const flash::FlashArray &array, double op_ratio)
 Ftl::Ftl(flash::FlashArray &array, const FtlConfig &cfg)
     : array_(array),
       cfg_(cfg),
+      split_(array.geometry()),
       map_(exportedUnits(array, cfg.opRatio)),
       alloc_(cfg.alloc, array.geometry().planeCount(),
              static_cast<std::uint32_t>(array.geometry().pools.size()),
@@ -30,18 +30,16 @@ Ftl::Ftl(flash::FlashArray &array, const FtlConfig &cfg)
       journal_(map_, cfg.journal),
       gc_(array, map_, cfg.gc, bbm_, journal_)
 {
-    if (cfg_.defaultReadPool >= array.geometry().pools.size())
-        sim::fatal("defaultReadPool out of range");
 }
 
 WriteResult
-Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
+Ftl::writeGroup(std::uint32_t pool, flash::Lpn first, std::uint32_t count,
                 sim::Time earliest)
 {
     const auto &geom = array_.geometry();
     EMMCSIM_ASSERT(pool < geom.pools.size(), "writeGroup pool range");
     const std::uint32_t upp = geom.pools[pool].unitsPerPage();
-    EMMCSIM_ASSERT(!lpns.empty() && lpns.size() <= upp,
+    EMMCSIM_ASSERT(count >= 1 && count <= upp,
                    "writeGroup size must be 1..unitsPerPage");
 
     // Graceful degradation: a read-only device (spares or space
@@ -66,7 +64,7 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
     };
 
     const std::uint32_t planes = geom.planeCount();
-    std::uint32_t plane = alloc_.nextPlane(pool, lpns.front());
+    std::uint32_t plane = alloc_.nextPlane(pool, first);
     std::uint32_t tried = 0;
     sim::Time t = earliest;
     bool placed = false;
@@ -97,13 +95,10 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
             const std::uint32_t other_upp =
                 geom.pools[k].unitsPerPage();
             WriteResult out{earliest, true, {}};
-            for (std::size_t i = 0; i < lpns.size(); i += other_upp) {
-                std::vector<flash::Lpn> chunk(
-                    lpns.begin() + static_cast<std::ptrdiff_t>(i),
-                    lpns.begin() +
-                        static_cast<std::ptrdiff_t>(std::min(
-                            i + other_upp, lpns.size())));
-                WriteResult w = writeGroup(k, chunk, earliest);
+            for (std::uint32_t i = 0; i < count; i += other_upp) {
+                WriteResult w =
+                    writeGroup(k, first + i, std::min(other_upp, count - i),
+                               earliest);
                 // The chunk finishing last is the critical chain; its
                 // breakdown is the group's breakdown (conservation:
                 // it sums to out.done − earliest by induction).
@@ -168,7 +163,7 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
 
     // The mapping moves only after the program succeeded, so every
     // rejection path above leaves the old mapping fully intact.
-    placeUnits(plane, pool, ppn, lpns);
+    placeUnits(plane, pool, ppn, first, count);
 
     // Remember the program so a power cut landing before res.done can
     // tear exactly this page (the write was never acknowledged).
@@ -178,7 +173,7 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
     lastHostProgram_.ppn = ppn;
     lastHostProgram_.done = res.done;
 
-    stats_.hostUnitsWritten += lpns.size();
+    stats_.hostUnitsWritten += count;
     stats_.hostBytesConsumed += geom.pools[pool].pageBytes;
     ++stats_.hostProgramOps;
     chain.reloc = res.done - first_done;
@@ -217,75 +212,46 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
         chain.busXfer = res.busTime;
     };
 
-    // Time one pseudo page read: a deterministic location in the pool
-    // holding unit_count units of never-written data.
-    auto read_pseudo = [&](std::uint32_t pool, flash::Lpn first_lpn,
-                           std::uint32_t unit_count) {
-        const std::uint32_t upp = geom.pools[pool].unitsPerPage();
-        const std::uint32_t ppb = geom.poolPagesPerBlock(pool);
-        const std::uint64_t pool_pages =
-            static_cast<std::uint64_t>(geom.pools[pool].blocksPerPlane) *
-            ppb;
-        const std::uint64_t pseudo =
-            static_cast<std::uint64_t>(first_lpn.value()) / upp;
-        // Spread consecutive pseudo pages over dies first, mirroring
-        // the die-interleaved order the write allocator would have
-        // used to lay this data out.
-        const std::uint32_t dies = geom.dieCount();
-        const auto die = static_cast<std::uint32_t>(pseudo % dies);
-        const auto plane_in_die = static_cast<std::uint32_t>(
-            (pseudo / dies) % geom.planesPerDie);
-        const flash::PageAddr a =
-            flash::pageAddr(geom, die * geom.planesPerDie + plane_in_die,
-                            pool, flash::Ppn{pseudo % pool_pages});
-        const units::Bytes bytes = units::unitsToBytes(unit_count);
-        flash::OpResult res = array_.read(a, earliest, bytes);
-        if (res.status == flash::OpStatus::Uncorrectable)
-            ++uncorrectable;
-        charge(res);
-        ++stats_.hostReadOps;
-    };
-
-    // Time a run of unmapped units: as laid out by the scheme's own
-    // write split when a pseudo-read distributor is installed,
-    // otherwise as pages of the default pool.
-    std::vector<PageGroup> pseudo_groups;
+    // Time a run of unmapped units as split_ would have laid it
+    // out: one page read per page group, at a deterministic location
+    // in the group's pool.
     auto read_unmapped_run = [&](flash::Lpn run_start,
                                  std::uint32_t run_len) {
-        if (pseudoDist_ != nullptr) {
-            pseudo_groups.clear();
-            pseudoDist_->splitWrite(run_start, run_len, pseudo_groups);
-            for (const PageGroup &g : pseudo_groups) {
-                read_pseudo(g.pool, g.lpns.front(),
-                            static_cast<std::uint32_t>(g.lpns.size()));
-            }
-            return;
-        }
-        const std::uint32_t pool = cfg_.defaultReadPool;
-        const std::uint32_t upp = geom.pools[pool].unitsPerPage();
-        std::uint32_t i = 0;
-        while (i < run_len) {
-            std::uint32_t take = std::min(upp, run_len - i);
-            read_pseudo(pool, run_start + i, take);
-            i += take;
-        }
+        split_.split(run_start, run_len, [&](const PageGroup &g) {
+            const std::uint32_t upp = geom.pools[g.pool].unitsPerPage();
+            const std::uint32_t ppb = geom.poolPagesPerBlock(g.pool);
+            const std::uint64_t pool_pages =
+                static_cast<std::uint64_t>(
+                    geom.pools[g.pool].blocksPerPlane) *
+                ppb;
+            const std::uint64_t pseudo =
+                static_cast<std::uint64_t>(g.first.value()) / upp;
+            // Spread consecutive pseudo pages over dies first,
+            // mirroring the die-interleaved order the write allocator
+            // would have used to lay this data out.
+            const std::uint32_t dies = geom.dieCount();
+            const auto die = static_cast<std::uint32_t>(pseudo % dies);
+            const auto plane_in_die = static_cast<std::uint32_t>(
+                (pseudo / dies) % geom.planesPerDie);
+            const flash::PageAddr a = flash::pageAddr(
+                geom, die * geom.planesPerDie + plane_in_die, g.pool,
+                flash::Ppn{pseudo % pool_pages});
+            flash::OpResult res =
+                array_.read(a, earliest, units::unitsToBytes(g.count));
+            if (res.status == flash::OpStatus::Uncorrectable)
+                ++uncorrectable;
+            charge(res);
+            ++stats_.hostReadOps;
+        });
     };
 
     // Group mapped units by the physical page that holds them;
-    // accumulate unmapped units into maximal runs.
-    struct Group
-    {
-        flash::PageAddr addr;
-        std::uint32_t units = 0;
-    };
-    // The groups are walked below to issue flash reads, so their order
-    // feeds the fault-injector RNG and the request tracer: keep them in
-    // first-touch order and use the hash map for key lookup only.
-    std::vector<Group> groups;
-    std::unordered_map<std::uint64_t, std::size_t> group_index;
-    groups.reserve(n);
-    group_index.reserve(n);
-
+    // accumulate unmapped units into maximal runs. The groups are
+    // walked below to issue flash reads, so their order feeds the
+    // fault-injector RNG and the request tracer: keep them in
+    // first-touch order. A page's units are usually adjacent, so the
+    // search starts at the newest group.
+    readGroups_.clear();
     flash::Lpn run_start{0};
     std::uint32_t run_len = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -302,21 +268,24 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
             run_len = 0;
         }
         const auto plane = static_cast<std::uint32_t>(e.planeLinear);
-        std::uint64_t key = (static_cast<std::uint64_t>(plane) << 40) ^
-                            (static_cast<std::uint64_t>(e.pool) << 36) ^
-                            e.ppn.value();
-        auto [it, fresh] = group_index.try_emplace(key, groups.size());
-        if (fresh)
-            groups.push_back(
-                Group{flash::pageAddr(geom, plane, e.pool, e.ppn), 0});
-        ++groups[it->second].units;
+        auto it = std::find_if(
+            readGroups_.rbegin(), readGroups_.rend(),
+            [&](const ReadGroup &g) {
+                return g.ppn == e.ppn && g.plane == plane &&
+                       g.pool == e.pool;
+            });
+        if (it == readGroups_.rend())
+            readGroups_.push_back(ReadGroup{plane, e.pool, e.ppn, 1});
+        else
+            ++it->units;
     }
     if (run_len > 0)
         read_unmapped_run(run_start, run_len);
 
-    for (const Group &g : groups) {
-        const units::Bytes bytes = units::unitsToBytes(g.units);
-        flash::OpResult res = array_.read(g.addr, earliest, bytes);
+    for (const ReadGroup &g : readGroups_) {
+        flash::OpResult res =
+            array_.read(flash::pageAddr(geom, g.plane, g.pool, g.ppn),
+                        earliest, units::unitsToBytes(g.units));
         if (res.status == flash::OpStatus::Uncorrectable)
             ++uncorrectable;
         charge(res);
@@ -328,20 +297,19 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
 }
 
 bool
-Ftl::installGroup(std::uint32_t pool,
-                  const std::vector<flash::Lpn> &lpns)
+Ftl::installGroup(std::uint32_t pool, flash::Lpn first, std::uint32_t count)
 {
     const auto &geom = array_.geometry();
     EMMCSIM_ASSERT(pool < geom.pools.size(), "installGroup pool range");
     const std::uint32_t upp = geom.pools[pool].unitsPerPage();
-    EMMCSIM_ASSERT(!lpns.empty() && lpns.size() <= upp,
+    EMMCSIM_ASSERT(count >= 1 && count <= upp,
                    "installGroup size must be 1..unitsPerPage");
 
     // Find a plane with space, starting from the allocator's choice.
     // The GC free-block reserve is never consumed: garbage collection
     // needs at least hardFreeBlocks erased blocks to relocate into.
     const std::uint32_t planes = geom.planeCount();
-    std::uint32_t plane = alloc_.nextPlane(pool, lpns.front());
+    std::uint32_t plane = alloc_.nextPlane(pool, first);
     std::uint32_t tried = 0;
     auto has_room = [&](const flash::BlockPool &bp) {
         const std::uint64_t reserve =
@@ -356,17 +324,17 @@ Ftl::installGroup(std::uint32_t pool,
     }
 
     placeUnits(plane, pool, array_.plane(plane).pool(pool).allocatePage(),
-               lpns);
+               first, count);
     return true;
 }
 
 void
 Ftl::placeUnits(std::uint32_t plane, std::uint32_t pool, flash::Ppn ppn,
-                const std::vector<flash::Lpn> &lpns)
+                flash::Lpn first, std::uint32_t count)
 {
     // Stale out any previous locations of these units first.
-    for (flash::Lpn lpn : lpns) {
-        const MapEntry old = map_.lookup(lpn);
+    for (std::uint32_t u = 0; u < count; ++u) {
+        const MapEntry old = map_.lookup(first + u);
         if (old.mapped()) {
             array_.plane(static_cast<std::uint32_t>(old.planeLinear))
                 .pool(old.pool)
@@ -374,14 +342,14 @@ Ftl::placeUnits(std::uint32_t plane, std::uint32_t pool, flash::Ppn ppn,
         }
     }
     auto &bp = array_.plane(plane).pool(pool);
-    for (std::uint32_t u = 0; u < lpns.size(); ++u) {
-        bp.setUnit(ppn, u, lpns[u]);
+    for (std::uint32_t u = 0; u < count; ++u) {
+        bp.setUnit(ppn, u, first + u);
         MapEntry e;
         e.planeLinear = static_cast<std::int32_t>(plane);
         e.pool = static_cast<std::uint16_t>(pool);
         e.ppn = ppn;
         e.unit = static_cast<std::uint16_t>(u);
-        bp.stampPageSeq(ppn, journal_.recordWrite(lpns[u], e));
+        bp.stampPageSeq(ppn, journal_.recordWrite(first + u, e));
     }
 }
 

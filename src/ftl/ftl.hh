@@ -7,10 +7,11 @@
  * pages through PageMap, places writes with PlaneAllocator, and keeps
  * free space ahead of demand with GarbageCollector.
  *
- * The controller hands the FTL *page groups*: a write of one physical
- * page worth of logical units into a chosen pool. How a block request
- * is cut into page groups is scheme policy (4PS / 8PS / HPS) and lives
- * in the request distributor, not here.
+ * The controller hands the FTL *page groups*: a run of logical units
+ * that fills one physical page of a chosen pool. The FTL reads the
+ * split of a block request into page groups off its geometry
+ * (WriteSplit, ftl/distributor.hh): 4PS, 8PS and HPS differ only in
+ * their pool layout.
  */
 
 #ifndef EMMCSIM_FTL_FTL_HH
@@ -45,12 +46,6 @@ struct FtlConfig
     JournalConfig journal;
     /** Fraction of raw capacity reserved as over-provisioning. */
     double opRatio = 0.07;
-    /**
-     * Pool used to time reads of never-written logical units (replays
-     * on a brand-new device read data the trace wrote before
-     * collection began; the device still performs a real page read).
-     */
-    std::uint32_t defaultReadPool = 0;
 };
 
 /** Host-visible FTL counters. */
@@ -141,7 +136,8 @@ class Ftl
     std::uint64_t logicalUnits() const { return map_.logicalUnits(); }
 
     /**
-     * Write one physical page of pool @p pool holding @p lpns.
+     * Write one physical page of pool @p pool holding the @p count
+     * units from @p first.
      *
      * The group may be smaller than the page's unit capacity; the
      * remainder of the page is padding (wasted space), which is how a
@@ -152,39 +148,27 @@ class Ftl
      * space exhausted) rejects the group instead of panicking.
      *
      * @param pool     Target page-size pool.
-     * @param lpns     Logical units stored in the page (1..unitsPerPage).
+     * @param first    First logical unit stored in the page.
+     * @param count    Units stored in the page (1..unitsPerPage).
      * @param earliest Earliest start time for the flash operations.
      * @return Completion time (after any blocking GC) and whether the
      *         data landed.
      */
-    WriteResult writeGroup(std::uint32_t pool,
-                           const std::vector<flash::Lpn> &lpns,
-                           sim::Time earliest);
+    WriteResult writeGroup(std::uint32_t pool, flash::Lpn first,
+                           std::uint32_t count, sim::Time earliest);
 
     /**
      * Read @p n logical units starting at @p start.
      *
      * Units sharing a physical page are fetched with a single page
      * read. Unmapped units (data written before the trace began) are
-     * timed as if they had been laid out by the pseudo-read
-     * distributor's split — set by the device to its own scheme
-     * distributor — or, when none is set, as reads from the default
-     * pool.
+     * timed as if writeSplit() had laid them out.
      *
      * @return Completion time of the last page read plus the count of
      *         uncorrectable page reads (lost data) among them.
      */
     ReadResult readUnits(flash::Lpn start, std::uint32_t n,
                          sim::Time earliest);
-
-    /**
-     * Install the distributor used to time unmapped reads. The
-     * pointer is borrowed; the owner must outlive the FTL's use.
-     */
-    void setPseudoReadDistributor(const RequestDistributor *dist)
-    {
-        pseudoDist_ = dist;
-    }
 
     /**
      * Discard @p n logical units starting at @p start (Ext4 discard /
@@ -202,8 +186,8 @@ class Ftl
      *         (the caller may skip this group; an aged device's full
      *         region simply stays full).
      */
-    bool installGroup(std::uint32_t pool,
-                      const std::vector<flash::Lpn> &lpns);
+    bool installGroup(std::uint32_t pool, flash::Lpn first,
+                      std::uint32_t count);
 
     /**
      * Run a single incremental idle-GC step (a few page relocations,
@@ -258,6 +242,8 @@ class Ftl
     flash::FlashArray &array() { return array_; }
     const flash::FlashArray &array() const { return array_; }
     const FtlConfig &config() const { return cfg_; }
+    /** The page split of host writes, read off the geometry. */
+    const WriteSplit &writeSplit() const { return split_; }
 
     /**
      * Test hook: mutable access to the page map so tests can plant
@@ -277,25 +263,36 @@ class Ftl
     static void fields(Self &self, IO &io);
 
     /**
-     * Land @p lpns in page @p ppn of (plane, pool), unit u in slot u:
-     * stale their old copies, fill the slots, journal each write and
-     * stamp the page's out-of-band sequence number.
+     * Land the @p count units from @p first in page @p ppn of (plane,
+     * pool), unit first+u in slot u: stale their old copies, fill the
+     * slots, journal each write and stamp the page's out-of-band
+     * sequence number.
      */
     void placeUnits(std::uint32_t plane, std::uint32_t pool,
-                    flash::Ppn ppn, const std::vector<flash::Lpn> &lpns);
+                    flash::Ppn ppn, flash::Lpn first, std::uint32_t count);
 
     static std::uint64_t exportedUnits(const flash::FlashArray &array,
                                        double op_ratio);
 
     flash::FlashArray &array_;
     FtlConfig cfg_;
+    WriteSplit split_;
     PageMap map_;
     PlaneAllocator alloc_;
     BadBlockManager bbm_;  ///< must precede gc_ (GC holds a reference)
     MetaJournal journal_;  ///< must precede gc_ (GC holds a reference)
     GarbageCollector gc_;
     FtlStats stats_;
-    const RequestDistributor *pseudoDist_ = nullptr;
+
+    /** A physical page a read touches, and how many of its units. */
+    struct ReadGroup
+    {
+        std::uint32_t plane;
+        std::uint32_t pool;
+        flash::Ppn ppn;
+        std::uint32_t units;
+    };
+    std::vector<ReadGroup> readGroups_; ///< readUnits scratch, reused
 
     /**
      * The host page program most recently issued to the array. Flash

@@ -161,9 +161,9 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
     alloc_.resetCursors();
 
     // 7. Time the realistic protocol. Metadata pages live in the
-    // default-read pool; open-block OOB scans and torn-page probes pay
-    // that block's pool read latency.
-    const auto &meta = timing.pools[cfg_.defaultReadPool];
+    // split's small-page pool; open-block OOB scans and torn-page
+    // probes pay that pool's read latency.
+    const auto &meta = timing.pools[split_.tailPool];
     rep.checkpointPagesRead = journal_.checkpointPages();
     rep.journalPagesRead = journal_.pagesSinceCheckpoint() +
                            (journal_.openPageRecords() > 0 ? 1 : 0);

@@ -35,9 +35,32 @@ TEST(Scheme, ConfigsMatchKind)
 
 TEST(Scheme, DistributorsMatchKind)
 {
-    EXPECT_EQ(schemeDistributor(SchemeKind::PS4)->name(), "4PS");
-    EXPECT_EQ(schemeDistributor(SchemeKind::PS8)->name(), "8PS");
-    EXPECT_EQ(schemeDistributor(SchemeKind::HPS)->name(), "HPS");
+    // The write split each Table V layout implies.
+    auto split = [](SchemeKind kind) {
+        return ftl::WriteSplit(schemeConfig(kind).geometry);
+    };
+    // 4PS: one-unit pages only.
+    EXPECT_EQ(split(SchemeKind::PS4).bulkUnits, 1u);
+    EXPECT_EQ(split(SchemeKind::PS4).tailUnits, 1u);
+    // 8PS: two-unit pages, the odd tail padded into the same pool.
+    EXPECT_EQ(split(SchemeKind::PS8).bulkUnits, 2u);
+    EXPECT_EQ(split(SchemeKind::PS8).tailPool, 0u);
+    EXPECT_EQ(split(SchemeKind::PS8).tailUnits, 2u);
+    // HPS: pairs to the 8KB pool, the odd tail to the 4KB pool.
+    EXPECT_EQ(split(SchemeKind::HPS).bulkPool, emmc::kHps8kPool);
+    EXPECT_EQ(split(SchemeKind::HPS).tailPool, emmc::kHps4kPool);
+    EXPECT_EQ(split(SchemeKind::HPS).tailUnits, 1u);
+}
+
+TEST(SchemeDeath, MakeDeviceRejectsAnotherSchemesLayout)
+{
+    sim::Simulator s;
+    EXPECT_DEATH(makeDevice(s, SchemeKind::PS4,
+                            schemeConfig(SchemeKind::HPS)),
+                 "pool page sizes");
+    EXPECT_DEATH(makeDevice(s, SchemeKind::PS4,
+                            schemeConfig(SchemeKind::PS8)),
+                 "pool page sizes");
 }
 
 TEST(Scheme, MakeDeviceBuildsWorkingDevice)
@@ -113,7 +136,10 @@ TEST(Scheme, ExtendedSchemesIncludeHslc)
 {
     ASSERT_EQ(extendedSchemes().size(), 4u);
     EXPECT_EQ(schemeName(extendedSchemes()[3]), "HSLC");
-    EXPECT_EQ(schemeDistributor(SchemeKind::HSLC)->name(), "HPS");
+    // HSLC splits as HPS does: only the 4KB pool's timing differs.
+    const ftl::WriteSplit hslc(schemeConfig(SchemeKind::HSLC).geometry);
+    EXPECT_EQ(hslc.bulkPool, emmc::kHps8kPool);
+    EXPECT_EQ(hslc.tailPool, emmc::kHps4kPool);
 }
 
 TEST(ExperimentFaults, AgedDeviceUnderSeededFaultsAuditsClean)

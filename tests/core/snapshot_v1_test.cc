@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/binio.hh"
-#include "core/hps.hh"
 #include "emmc/device.hh"
 #include "sim/simulator.hh"
 
@@ -45,8 +44,7 @@ tinyHpsDevice(sim::Simulator &s)
                           flash::PoolConfig{8192, 12}};
     cfg.timing.pools = {flash::Timing::page4k(), flash::Timing::page8k()};
     cfg.ftl.opRatio = 0.25;
-    return std::make_unique<EmmcDevice>(
-        s, cfg, std::make_unique<core::HpsDistributor>(0, 1));
+    return std::make_unique<EmmcDevice>(s, cfg);
 }
 
 IoRequest

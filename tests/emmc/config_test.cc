@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "emmc/config.hh"
+#include "ftl/distributor.hh"
 
 using namespace emmcsim;
 using namespace emmcsim::emmc;
@@ -62,7 +63,12 @@ TEST(Config, DefaultsMatchPaperSetup)
 
 TEST(Config, HpsDefaultReadPoolIs4k)
 {
-    EXPECT_EQ(makeHpsConfig().ftl.defaultReadPool, kHps4kPool);
+    // Unmapped-read tails and metadata pages use the split's
+    // small-page pool, which is the 4KB pool on HPS and HSLC.
+    EXPECT_EQ(ftl::WriteSplit(makeHpsConfig().geometry).tailPool,
+              kHps4kPool);
+    EXPECT_EQ(ftl::WriteSplit(makeHpsSlcConfig().geometry).tailPool,
+              kHps4kPool);
 }
 
 TEST(Config, GeometriesValidate)

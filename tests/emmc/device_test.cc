@@ -14,7 +14,6 @@
 #include <fstream>
 #include <memory>
 
-#include "core/hps.hh"
 #include "core/scheme.hh"
 #include "emmc/device.hh"
 #include "sim/simulator.hh"
@@ -40,13 +39,6 @@ tinyConfig(std::uint32_t page_bytes = 4096)
                                            : flash::Timing::page8k()};
     cfg.ftl.opRatio = 0.25;
     return cfg;
-}
-
-std::unique_ptr<ftl::RequestDistributor>
-tinyDistributor(std::uint32_t page_bytes = 4096)
-{
-    return std::make_unique<ftl::SinglePoolDistributor>(
-        0, page_bytes / 4096, page_bytes == 4096 ? "4PS" : "8PS");
 }
 
 IoRequest
@@ -103,7 +95,7 @@ minorFaults()
 TEST(EmmcDevice, SingleReadTimestamps)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     auto done = runRequests(s, dev, {makeReq(1, 100, 0, 1, false)});
 
     ASSERT_EQ(done.size(), 1u);
@@ -120,7 +112,7 @@ TEST(EmmcDevice, ReadServiceTimeIncludesAllPhases)
 {
     sim::Simulator s;
     EmmcConfig cfg = tinyConfig();
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     auto done = runRequests(s, dev, {makeReq(0, 0, 0, 1, false)});
     sim::Time service = done[0].finish - done[0].serviceStart;
     // command overhead + array read + page cmd + transfer
@@ -134,7 +126,7 @@ TEST(EmmcDevice, ReadServiceTimeIncludesAllPhases)
 TEST(EmmcDevice, SecondRequestWaitsWhileBusy)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     auto done = runRequests(
         s, dev,
         {makeReq(0, 0, 0, 1, false), makeReq(1, 10, 8, 1, false)});
@@ -149,7 +141,7 @@ TEST(EmmcDevice, SecondRequestWaitsWhileBusy)
 TEST(EmmcDevice, WellSpacedRequestsNeverWait)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     std::vector<IoRequest> reqs;
     for (int i = 0; i < 5; ++i) {
         reqs.push_back(makeReq(static_cast<std::uint64_t>(i),
@@ -167,7 +159,7 @@ TEST(EmmcDevice, QueuedWritesPackIntoOneCommand)
 {
     sim::Simulator s;
     EmmcConfig cfg = tinyConfig();
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     // First request occupies the device; three writes queue behind and
     // pack into a single command.
     std::vector<IoRequest> reqs = {makeReq(0, 0, 0, 4, true),
@@ -188,7 +180,7 @@ TEST(EmmcDevice, PackingDisabledKeepsCommandsSeparate)
     sim::Simulator s;
     EmmcConfig cfg = tinyConfig();
     cfg.packing.enabled = false;
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     std::vector<IoRequest> reqs = {makeReq(0, 0, 0, 1, true),
                                    makeReq(1, 1, 8, 1, true),
                                    makeReq(2, 2, 16, 1, true)};
@@ -204,7 +196,7 @@ TEST(EmmcDevice, WakePenaltyInflatesServiceAfterLongIdle)
     cfg.power.enabled = true;
     cfg.power.idleThreshold = sim::milliseconds(200);
     cfg.power.wakeLatency = sim::milliseconds(5);
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     auto done = runRequests(
         s, dev,
         {makeReq(0, 0, 0, 1, false),
@@ -228,7 +220,7 @@ TEST(EmmcDevice, WarmRequestsSkipWakePenalty)
     cfg.power.enabled = true;
     cfg.power.idleThreshold = sim::milliseconds(200);
     cfg.power.wakeLatency = sim::milliseconds(5);
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     auto done = runRequests(
         s, dev,
         {makeReq(0, sim::seconds(1), 0, 1, false),
@@ -244,7 +236,7 @@ TEST(EmmcDevice, SpaceUtilizationPadding)
 {
     // One-unit writes on an 8KB-page device waste half of each page.
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(8192), tinyDistributor(8192));
+    EmmcDevice dev(s, tinyConfig(8192));
     std::vector<IoRequest> reqs;
     for (int i = 0; i < 8; ++i) {
         reqs.push_back(makeReq(static_cast<std::uint64_t>(i),
@@ -259,7 +251,7 @@ TEST(EmmcDevice, SpaceUtilizationPadding)
 TEST(EmmcDevice, SpaceUtilizationPerfectFor4k)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     auto reqs = std::vector<IoRequest>{makeReq(0, 0, 0, 5, true)};
     runRequests(s, dev, reqs);
     EXPECT_DOUBLE_EQ(dev.spaceUtilization(), 1.0);
@@ -271,7 +263,7 @@ TEST(EmmcDevice, RamBufferAbsorbsWrites)
     EmmcConfig cfg = tinyConfig();
     cfg.buffer.enabled = true;
     cfg.buffer.capacityUnits = 64;
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     auto done = runRequests(s, dev, {makeReq(0, 0, 0, 2, true)});
     // Fits entirely in RAM: no flash program happened.
     EXPECT_EQ(dev.array().totalStats().programs, 0u);
@@ -286,7 +278,7 @@ TEST(EmmcDevice, RamBufferServesReadHits)
     EmmcConfig cfg = tinyConfig();
     cfg.buffer.enabled = true;
     cfg.buffer.capacityUnits = 64;
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     runRequests(s, dev,
                 {makeReq(0, 0, 0, 2, true),
                  makeReq(1, sim::milliseconds(1), 0, 2, false)});
@@ -302,7 +294,7 @@ TEST(EmmcDevice, IdleGcRunsDuringGaps)
     cfg.idleGcEnabled = true;
     cfg.idleGcDelay = sim::milliseconds(10);
     cfg.idleGcStepGap = sim::milliseconds(1);
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
 
     // Dirty the device with overwrites, then leave a long idle gap.
     std::vector<IoRequest> reqs;
@@ -325,7 +317,7 @@ TEST(EmmcDevice, CompletionOrderIsFifo)
     sim::Simulator s;
     EmmcConfig cfg = tinyConfig();
     cfg.packing.enabled = false;
-    EmmcDevice dev(s, cfg, tinyDistributor());
+    EmmcDevice dev(s, cfg);
     std::vector<IoRequest> reqs;
     for (std::uint64_t i = 0; i < 6; ++i)
         reqs.push_back(makeReq(i, static_cast<sim::Time>(i), i * 8, 1,
@@ -339,7 +331,7 @@ TEST(EmmcDevice, CompletionOrderIsFifo)
 TEST(EmmcDevice, BusyAndQueueDepth)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     EXPECT_FALSE(dev.busy());
     EXPECT_EQ(dev.queueDepth(), 0u);
     s.schedule(0, [&] {
@@ -353,7 +345,7 @@ TEST(EmmcDevice, BusyAndQueueDepth)
 TEST(EmmcDeviceDeath, MisalignedRequestPanics)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     IoRequest bad = makeReq(0, 0, 0, 1, false);
     bad.sizeBytes = emmcsim::units::Bytes{1000};
     EXPECT_DEATH(dev.submit(bad), "4KB multiple");
@@ -365,7 +357,7 @@ TEST(EmmcDeviceDeath, MisalignedRequestPanics)
 TEST(EmmcDevice, QueueDepthStats)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     // Three back-to-back arrivals: depths seen are 0, 1, 2.
     std::vector<IoRequest> reqs = {makeReq(0, 0, 0, 1, false),
                                    makeReq(1, 0, 8, 1, false),
@@ -379,7 +371,7 @@ TEST(EmmcDevice, QueueDepthStats)
 TEST(EmmcDevice, UtilizationReflectsBusyTime)
 {
     sim::Simulator s;
-    EmmcDevice dev(s, tinyConfig(), tinyDistributor());
+    EmmcDevice dev(s, tinyConfig());
     auto done = runRequests(s, dev, {makeReq(0, 0, 0, 1, false)});
     sim::Time busy = done[0].finish - done[0].serviceStart;
     s.runUntil(2 * busy);
@@ -403,8 +395,7 @@ TEST(EmmcDevice, HslcWritesLandInSlcPool)
                           flash::PoolConfig{8192, 16}};
     cfg.timing.pools = {flash::Timing::page4kSlcMode(),
                         flash::Timing::page8k()};
-    EmmcDevice dev(s, cfg,
-                   std::make_unique<core::HpsDistributor>(0, 1));
+    EmmcDevice dev(s, cfg);
 
     auto done = runRequests(
         s, dev,

@@ -98,7 +98,7 @@ struct FaultRig
     overwriteRound(sim::Time t)
     {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = ftl.writeGroup(0, {lpn}, t).done;
+            t = ftl.writeGroup(0, lpn, 1, t).done;
         return t;
     }
 
@@ -159,7 +159,7 @@ TEST(FaultRecovery, ProgramFailureRelocatesWithoutLosingData)
     sim::Time t = rig.overwriteRound(0);
 
     rig.injector.forceProgramFailures(1);
-    const WriteResult res = rig.ftl.writeGroup(0, {flash::Lpn{0}}, t);
+    const WriteResult res = rig.ftl.writeGroup(0, flash::Lpn{0}, 1, t);
     EXPECT_TRUE(res.accepted);
     EXPECT_GT(res.done, t);
 
@@ -186,9 +186,9 @@ TEST(FaultRecovery, SuspectBlockIsScrubbedAndRetired)
     // space to drain into even after the suspect block is sealed off.
     sim::Time t = 0;
     for (flash::Lpn lpn{0}; lpn.value() < 4; ++lpn)
-        t = rig.ftl.writeGroup(0, {lpn}, t).done;
+        t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     rig.injector.forceProgramFailures(1);
-    t = rig.ftl.writeGroup(0, {flash::Lpn{0}}, t).done;
+    t = rig.ftl.writeGroup(0, flash::Lpn{0}, 1, t).done;
 
     // Idle GC prioritizes scrubbing: it drains the suspect block's
     // survivors and retires it instead of erasing it.
@@ -247,7 +247,7 @@ TEST(FaultRecovery, SpareExhaustionDegradesToReadOnly)
 
     // Writes now fail with a structured rejection, not a panic.
     const std::uint64_t rejected_before = rig.ftl.stats().rejectedWrites;
-    const WriteResult res = rig.ftl.writeGroup(0, {flash::Lpn{3}}, t);
+    const WriteResult res = rig.ftl.writeGroup(0, flash::Lpn{3}, 1, t);
     EXPECT_FALSE(res.accepted);
     EXPECT_GT(rig.ftl.stats().rejectedWrites, rejected_before);
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hps.hh"
 #include "ftl/ftl.hh"
 
 using namespace emmcsim;
@@ -84,7 +83,7 @@ TEST(Ftl, LogicalUnitsRespectOverProvisioning)
 TEST(Ftl, WriteThenReadMapsUnits)
 {
     FtlUnderTest t;
-    sim::Time w = t.ftl.writeGroup(0, {L(5)}, 0).done;
+    sim::Time w = t.ftl.writeGroup(0, L(5), 1, 0).done;
     EXPECT_GT(w, 0);
     EXPECT_TRUE(t.ftl.map().mapped(L(5)));
     sim::Time r = t.ftl.readUnits(L(5), 1, w).done;
@@ -96,9 +95,9 @@ TEST(Ftl, WriteThenReadMapsUnits)
 TEST(Ftl, OverwriteInvalidatesOldLocation)
 {
     FtlUnderTest t;
-    t.ftl.writeGroup(0, {L(5)}, 0);
+    t.ftl.writeGroup(0, L(5), 1, 0);
     MapEntry old = t.ftl.map().lookup(L(5));
-    t.ftl.writeGroup(0, {L(5)}, 0);
+    t.ftl.writeGroup(0, L(5), 1, 0);
     MapEntry cur = t.ftl.map().lookup(L(5));
     EXPECT_NE(old, cur);
     auto &pool = t.array
@@ -110,7 +109,7 @@ TEST(Ftl, OverwriteInvalidatesOldLocation)
 TEST(Ftl, MultiUnitPageSharesPhysicalPage)
 {
     FtlUnderTest t({{8192, 4}});
-    t.ftl.writeGroup(0, {L(10), L(11)}, 0);
+    t.ftl.writeGroup(0, L(10), 2, 0);
     const MapEntry &a = t.ftl.map().lookup(L(10));
     const MapEntry &b = t.ftl.map().lookup(L(11));
     EXPECT_EQ(a.ppn, b.ppn);
@@ -121,7 +120,7 @@ TEST(Ftl, MultiUnitPageSharesPhysicalPage)
 TEST(Ftl, ReadGroupsUnitsOfSamePage)
 {
     FtlUnderTest t({{8192, 4}});
-    t.ftl.writeGroup(0, {L(10), L(11)}, 0);
+    t.ftl.writeGroup(0, L(10), 2, 0);
     auto before = t.ftl.stats().hostReadOps;
     t.ftl.readUnits(L(10), 2, 0);
     EXPECT_EQ(t.ftl.stats().hostReadOps, before + 1);
@@ -130,8 +129,8 @@ TEST(Ftl, ReadGroupsUnitsOfSamePage)
 TEST(Ftl, ReadSplitAcrossPagesIssuesMultipleOps)
 {
     FtlUnderTest t;
-    t.ftl.writeGroup(0, {L(10)}, 0);
-    t.ftl.writeGroup(0, {L(11)}, 0);
+    t.ftl.writeGroup(0, L(10), 1, 0);
+    t.ftl.writeGroup(0, L(11), 1, 0);
     auto before = t.ftl.stats().hostReadOps;
     t.ftl.readUnits(L(10), 2, 0);
     EXPECT_EQ(t.ftl.stats().hostReadOps, before + 2);
@@ -153,7 +152,7 @@ TEST(Ftl, FragmentedReadCompletionIsOrderStable)
     auto run = [] {
         FtlUnderTest t;
         for (std::int64_t u : {0, 2, 4, 1, 3, 5})
-            t.ftl.writeGroup(0, {L(u)}, 0);
+            t.ftl.writeGroup(0, L(u), 1, 0);
         const sim::Time done = t.ftl.readUnits(L(0), 6, 0).done;
         EXPECT_EQ(t.ftl.stats().hostReadOps, 6u);
         return done;
@@ -173,13 +172,14 @@ TEST(Ftl, UnmappedReadStillCostsTime)
 
 TEST(Ftl, UnmappedReadUsesPseudoDistributorSplit)
 {
-    // With an HPS-style pseudo distributor, a 4-unit unmapped read is
-    // charged as two 8KB page reads instead of four 4KB reads.
+    // On an HPS-style geometry the split times a 4-unit unmapped
+    // read as two 8KB page reads instead of four 4KB reads, and a
+    // 5-unit one adds a 4KB read for the tail.
     FtlUnderTest t({{4096, 4}, {8192, 4}});
-    core::HpsDistributor dist(0, 1);
-    t.ftl.setPseudoReadDistributor(&dist);
     t.ftl.readUnits(L(0), 4, 0);
     EXPECT_EQ(t.ftl.stats().hostReadOps, 2u);
+    t.ftl.readUnits(L(8), 5, 0);
+    EXPECT_EQ(t.ftl.stats().hostReadOps, 5u);
 }
 
 TEST(Ftl, ZeroUnitReadIsFree)
@@ -192,7 +192,7 @@ TEST(Ftl, ZeroUnitReadIsFree)
 TEST(Ftl, TrimDropsMappingAndInvalidates)
 {
     FtlUnderTest t;
-    t.ftl.writeGroup(0, {L(3)}, 0);
+    t.ftl.writeGroup(0, L(3), 1, 0);
     MapEntry e = t.ftl.map().lookup(L(3));
     t.ftl.trim(L(3), 1);
     EXPECT_FALSE(t.ftl.map().mapped(L(3)));
@@ -212,18 +212,18 @@ TEST(Ftl, TrimUnmappedIsNoop)
 TEST(Ftl, SpaceAccountingChargesFullPage)
 {
     FtlUnderTest t({{4096, 4}, {8192, 4}});
-    t.ftl.writeGroup(1, {L(0)}, 0); // one unit into an 8KB page
+    t.ftl.writeGroup(1, L(0), 1, 0); // one unit into an 8KB page
     EXPECT_EQ(t.ftl.stats().hostUnitsWritten, 1u);
     EXPECT_EQ(t.ftl.stats().hostBytesConsumed, 8192u);
-    t.ftl.writeGroup(0, {L(1)}, 0); // one unit into a 4KB page
+    t.ftl.writeGroup(0, L(1), 1, 0); // one unit into a 4KB page
     EXPECT_EQ(t.ftl.stats().hostBytesConsumed, 8192u + 4096u);
 }
 
 TEST(Ftl, RoundRobinSpreadsPlanes)
 {
     FtlUnderTest t;
-    t.ftl.writeGroup(0, {L(0)}, 0);
-    t.ftl.writeGroup(0, {L(1)}, 0);
+    t.ftl.writeGroup(0, L(0), 1, 0);
+    t.ftl.writeGroup(0, L(1), 1, 0);
     EXPECT_NE(t.ftl.map().lookup(L(0)).planeLinear,
               t.ftl.map().lookup(L(1)).planeLinear);
 }
@@ -231,7 +231,7 @@ TEST(Ftl, RoundRobinSpreadsPlanes)
 TEST(Ftl, InstallGroupIsStateOnly)
 {
     FtlUnderTest t;
-    t.ftl.installGroup(0, {L(7)});
+    t.ftl.installGroup(0, L(7), 1);
     EXPECT_TRUE(t.ftl.map().mapped(L(7)));
     EXPECT_EQ(t.array.totalStats().programs, 0u);
     EXPECT_EQ(t.ftl.stats().hostUnitsWritten, 0u);
@@ -249,7 +249,7 @@ TEST(FtlDeath, ReadPastLogicalCapacityPanics)
 TEST(FtlDeath, OversizedGroupPanics)
 {
     FtlUnderTest t;
-    EXPECT_DEATH(t.ftl.writeGroup(0, {L(0), L(1)}, 0), "unitsPerPage");
+    EXPECT_DEATH(t.ftl.writeGroup(0, L(0), 2, 0), "unitsPerPage");
 }
 
 TEST(Ftl, PoolOverflowRedirectsToOtherPool)
@@ -264,7 +264,7 @@ TEST(Ftl, PoolOverflowRedirectsToOtherPool)
     // Write 64 distinct pairs; beyond the pool's live capacity the
     // FTL must redirect.
     for (int i = 0; i < 32; ++i, lpn += 2)
-        now = t.ftl.writeGroup(1, {lpn, lpn + 1}, now).done;
+        now = t.ftl.writeGroup(1, lpn, 2, now).done;
     EXPECT_GT(t.ftl.stats().overflowRedirects, 0u);
     // All data remains addressable.
     for (flash::Lpn u{0}; u < lpn; ++u)

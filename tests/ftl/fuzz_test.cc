@@ -3,15 +3,14 @@
  * Randomized consistency tests: drive the FTL with random write /
  * read / trim traffic against a simple reference model and check that
  * the mapping, pool validity, and conservation invariants hold after
- * every step — including through garbage collection and across all
- * three scheme distributors.
+ * every step — including through garbage collection, on a single-pool
+ * and a hybrid-page-size geometry.
  */
 
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
-#include "core/hps.hh"
 #include "ftl/ftl.hh"
 #include "sim/random.hh"
 
@@ -117,11 +116,6 @@ TEST_P(FtlFuzz, RandomTrafficKeepsInvariants)
     const int seed = std::get<1>(GetParam());
 
     FuzzRig rig(hybrid);
-    core::HpsDistributor hps_dist(0, 1);
-    SinglePoolDistributor flat_dist(0, 1, "4PS");
-    const RequestDistributor &dist =
-        hybrid ? static_cast<const RequestDistributor &>(hps_dist)
-               : static_cast<const RequestDistributor &>(flat_dist);
 
     const auto logical =
         static_cast<std::int64_t>(rig.ftl.logicalUnits());
@@ -131,7 +125,6 @@ TEST_P(FtlFuzz, RandomTrafficKeepsInvariants)
     std::unordered_set<flash::Lpn> live;
     sim::Time t = 0;
 
-    std::vector<PageGroup> groups;
     for (int step = 0; step < 800; ++step) {
         const int op = static_cast<int>(rng.uniformInt(0, 9));
         const std::uint32_t n =
@@ -140,13 +133,11 @@ TEST_P(FtlFuzz, RandomTrafficKeepsInvariants)
             rng.uniformInt(0, logical - static_cast<std::int64_t>(n))};
 
         if (op < 6) { // write
-            groups.clear();
-            dist.splitWrite(start, n, groups);
-            for (const PageGroup &g : groups) {
-                t = rig.ftl.writeGroup(g.pool, g.lpns, t).done;
-                for (flash::Lpn lpn : g.lpns)
-                    live.insert(lpn);
-            }
+            rig.ftl.writeSplit().split(start, n, [&](const PageGroup &g) {
+                t = rig.ftl.writeGroup(g.pool, g.first, g.count, t).done;
+                for (std::uint32_t i = 0; i < g.count; ++i)
+                    live.insert(g.first + i);
+            });
         } else if (op < 9) { // read (mapped or not)
             sim::Time done = rig.ftl.readUnits(start, n, t).done;
             ASSERT_GE(done, t);

@@ -91,7 +91,7 @@ TEST(GarbageCollector, TriggersUnderWritePressure)
     // and GC must reclaim stale pages.
     for (int round = 0; round < 10; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     EXPECT_GT(rig.ftl.gcStats().blockingRounds, 0u);
     EXPECT_GT(rig.ftl.gcStats().erasedBlocks, 0u);
@@ -103,7 +103,7 @@ TEST(GarbageCollector, DataSurvivesRelocation)
     sim::Time t = 0;
     for (int round = 0; round < 20; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
         // After each round every logical unit must still resolve to a
         // live physical unit holding its lpn.
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn) {
@@ -125,7 +125,7 @@ TEST(GarbageCollector, GcConsumesFlashTime)
     sim::Time t = 0;
     for (int round = 0; round < 10; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     EXPECT_GT(rig.ftl.gcStats().blockingTime, 0);
 }
@@ -136,7 +136,7 @@ TEST(GarbageCollector, RelocationCountsUnits)
     sim::Time t = 0;
     for (int round = 0; round < 10; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     // Greedy victims of a cyclic overwrite pattern are mostly stale,
     // so relocation traffic stays bounded.
@@ -153,7 +153,7 @@ TEST(GarbageCollector, IdleGcRaisesFreeBlocks)
     // before blocking GC does all the work.
     for (int round = 0; round < 3; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     auto &pool = rig.array.plane(0).pool(0);
     std::uint32_t before = pool.freeBlockCount();
@@ -178,7 +178,7 @@ TEST(GarbageCollector, WearStaysBalanced)
     sim::Time t = 0;
     for (int round = 0; round < 50; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     // Simple wear leveling (min-erase free-block pick) keeps the
     // erase spread small under uniform churn.
@@ -291,7 +291,7 @@ TEST(Wear, ReportAggregatesPools)
     sim::Time t = 0;
     for (int round = 0; round < 10; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     WearReport rep = computeWear(rig.array);
     EXPECT_EQ(rep.totalErases, rig.ftl.gcStats().erasedBlocks);
@@ -306,7 +306,7 @@ TEST(Wear, WriteAmplificationAtLeastOne)
     sim::Time t = 0;
     for (int round = 0; round < 10; ++round) {
         for (flash::Lpn lpn{0}; lpn.value() < 8; ++lpn)
-            t = rig.ftl.writeGroup(0, {lpn}, t).done;
+            t = rig.ftl.writeGroup(0, lpn, 1, t).done;
     }
     double wa = writeAmplification(rig.array, rig.ftl);
     // GC relocation means strictly more flash programs than host data.

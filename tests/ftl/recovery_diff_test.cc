@@ -64,13 +64,11 @@ class DiffRig
     void
     write(std::uint32_t pool, std::int64_t start, std::uint32_t n)
     {
-        std::vector<flash::Lpn> lpns;
-        for (std::uint32_t i = 0; i < n; ++i)
-            lpns.push_back(flash::Lpn{start + i});
-        const WriteResult r = ftl_.writeGroup(pool, lpns, now_);
+        const WriteResult r =
+            ftl_.writeGroup(pool, flash::Lpn{start}, n, now_);
         ASSERT_TRUE(r.accepted);
         now_ = r.done;
-        lastWrite_ = ftl_.map().lookup(lpns.front());
+        lastWrite_ = ftl_.map().lookup(flash::Lpn{start});
         lastWriteDone_ = r.done;
     }
 
@@ -242,7 +240,7 @@ class DiffRig
 
         // Cost model: checkpoint + journal read back, open-block and
         // torn-page probes, a re-run erase, a fresh checkpoint.
-        const auto &meta = timing_.pools[ftl_.config().defaultReadPool];
+        const auto &meta = timing_.pools[ftl_.writeSplit().tailPool];
         const std::uint64_t per_page = j.config().recordsPerPage;
         rep.reErasedBlocks = j.lastEraseDone() > crash ? 1 : 0;
         rep.reEraseTime =

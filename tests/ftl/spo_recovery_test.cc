@@ -68,7 +68,7 @@ struct SpoFixture
     sim::Time
     writeUnit(std::int64_t lpn, sim::Time earliest = 0)
     {
-        WriteResult r = ftl.writeGroup(0, {L(lpn)}, earliest);
+        WriteResult r = ftl.writeGroup(0, L(lpn), 1, earliest);
         EXPECT_TRUE(r.accepted);
         return r.done;
     }

@@ -37,8 +37,7 @@ tinyConfig()
 std::unique_ptr<emmc::EmmcDevice>
 tinyDevice(sim::Simulator &s, const emmc::EmmcConfig &cfg = tinyConfig())
 {
-    return std::make_unique<emmc::EmmcDevice>(
-        s, cfg, std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+    return std::make_unique<emmc::EmmcDevice>(s, cfg);
 }
 
 trace::TraceRecord

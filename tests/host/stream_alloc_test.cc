@@ -2,12 +2,14 @@
  * @file
  * Proof that streaming replay holds bounded memory: global operator
  * new/delete are replaced with implementations that track *live* heap
- * bytes, and a long replay must plateau once the chunk buffers, retry
- * ring, and event queue have warmed up — resident heap must not scale
- * with trace length (that is the whole point of TraceSource: a
- * multi-GB capture replays without materializing a record vector).
- * Own binary for the same reason as sim_alloc_test: the replacement
- * operators apply to everything linked with them.
+ * bytes and count allocations. A long replay must plateau once the
+ * chunk buffers, retry ring, and event queue have warmed up — resident
+ * heap must not scale with trace length (that is the whole point of
+ * TraceSource: a multi-GB capture replays without materializing a
+ * record vector) — and the request path (write split, FTL reads and
+ * writes) must not allocate per request once warm. Own binary for the
+ * same reason as sim_alloc_test: the replacement operators apply to
+ * everything linked with them.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_liveBytes{0};
+std::atomic<std::uint64_t> g_newCalls{0};
 
 // Each block is over-allocated by one max-aligned header holding its
 // size, so the unsized delete forms can maintain the live counter.
@@ -37,6 +40,7 @@ countedAlloc(std::size_t n)
         return nullptr;
     *static_cast<std::size_t *>(raw) = n;
     g_liveBytes.fetch_add(n, std::memory_order_relaxed);
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
     return static_cast<char *>(raw) + kHeader;
 }
 
@@ -156,6 +160,64 @@ class CountingSource : public trace::TraceSource
     trace::TraceLoadError err_;
 };
 
+/**
+ * Procedural mixed traffic: writes of 1..7 units and reads of 1..8
+ * units over a small region, so writes split into 8KB pairs plus 4KB
+ * tails and reads span several pages, mapped and not. Records the
+ * allocation count at every next() call.
+ */
+class MixedSource : public trace::TraceSource
+{
+  public:
+    explicit MixedSource(std::size_t total) : total_(total)
+    {
+        newMarks_.reserve(total / 1024 + 16);
+    }
+
+    const std::string &name() const override { return name_; }
+
+    std::size_t
+    next(trace::TraceRecord *out, std::size_t max) override
+    {
+        newMarks_.push_back(g_newCalls.load(std::memory_order_relaxed));
+        std::size_t n = 0;
+        while (n < max && produced_ < total_) {
+            const std::size_t i = produced_++;
+            const std::uint64_t h = (i * 2654435761u) >> 7;
+            trace::TraceRecord r;
+            r.arrival = static_cast<sim::Time>(i) * 1'000'000; // 1ms
+            r.op = i % 3 == 0 ? trace::OpType::Write : trace::OpType::Read;
+            const std::uint64_t units =
+                r.op == trace::OpType::Write ? 1 + h % 7 : 1 + h % 8;
+            r.lbaSector = units::Lba{
+                (h % (kRegionUnits - 8)) *
+                static_cast<std::uint64_t>(sim::kSectorsPerUnit)};
+            r.sizeBytes = units::Bytes{units * sim::kUnitBytes};
+            out[n++] = r;
+        }
+        return n;
+    }
+
+    void reset() override { produced_ = 0; }
+
+    const trace::TraceLoadError &error() const override { return err_; }
+
+    /** operator new calls observed at each next() call. */
+    const std::vector<std::uint64_t> &newMarks() const
+    {
+        return newMarks_;
+    }
+
+  private:
+    static constexpr std::uint64_t kRegionUnits = 512;
+
+    std::string name_ = "mixed";
+    std::size_t total_;
+    std::size_t produced_ = 0;
+    std::vector<std::uint64_t> newMarks_;
+    trace::TraceLoadError err_;
+};
+
 emmc::EmmcConfig
 tinyConfig()
 {
@@ -180,9 +242,7 @@ TEST(StreamReplayAllocation, LiveHeapDoesNotScaleWithTraceLength)
     constexpr std::size_t kRecords = 24 * 4096;
 
     sim::Simulator s;
-    emmc::EmmcDevice dev(
-        s, tinyConfig(),
-        std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+    emmc::EmmcDevice dev(s, tinyConfig());
     host::Replayer rep(s, dev);
 
     CountingSource src(kRecords);
@@ -206,6 +266,44 @@ TEST(StreamReplayAllocation, LiveHeapDoesNotScaleWithTraceLength)
     EXPECT_LT(peak, marks[6] + 64 * 1024)
         << "live heap grew by " << (peak - marks[6]) << " bytes over "
         << steadyRecords << " steady-state records";
+}
+
+} // namespace
+
+namespace {
+
+TEST(StreamReplayAllocation, HpsRequestPathDoesNotAllocatePerRequest)
+{
+    // A 4KB + 8KB pool device: every write runs the page split and
+    // every read groups units by page or times unmapped runs.
+    emmc::EmmcConfig cfg = tinyConfig();
+    cfg.geometry.pools = {flash::PoolConfig{4096, 32},
+                          flash::PoolConfig{8192, 32}};
+    cfg.timing.pools = {flash::Timing::page4k(), flash::Timing::page8k()};
+    constexpr std::size_t kRecords = 16 * 4096;
+
+    sim::Simulator s;
+    emmc::EmmcDevice dev(s, cfg);
+    host::Replayer rep(s, dev);
+
+    MixedSource src(kRecords);
+    const host::StreamReplayResult res = rep.replayStream(src);
+    EXPECT_EQ(res.requests, kRecords);
+    EXPECT_GT(dev.ftl().stats().hostProgramOps, 0u);
+
+    // Chunks 0..3 warm up scratch, queues and GC state; the rest is
+    // the steady state. next() is called once per chunk plus a final
+    // empty pull, so marks[k] precedes chunk k.
+    const std::vector<std::uint64_t> &marks = src.newMarks();
+    ASSERT_EQ(marks.size(), kRecords / 4096 + 1);
+    constexpr std::size_t kWarm = 4;
+    const std::uint64_t steadyRecords = (marks.size() - 1 - kWarm) * 4096;
+    const std::uint64_t allocs = marks.back() - marks[kWarm];
+    EXPECT_LT(static_cast<double>(allocs) /
+                  static_cast<double>(steadyRecords),
+              0.25)
+        << allocs << " allocations over " << steadyRecords
+        << " steady-state requests";
 }
 
 } // namespace

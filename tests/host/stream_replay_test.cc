@@ -43,9 +43,7 @@ tinyConfig()
 std::unique_ptr<emmc::EmmcDevice>
 tinyDevice(sim::Simulator &s)
 {
-    return std::make_unique<emmc::EmmcDevice>(
-        s, tinyConfig(),
-        std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+    return std::make_unique<emmc::EmmcDevice>(s, tinyConfig());
 }
 
 /** Mixed read/write trace with same-tick ties and varied sizes. */

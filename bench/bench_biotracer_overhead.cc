@@ -22,14 +22,10 @@
  * way: replay with and without --attribution, report the wall-clock
  * overhead, and prove the simulated result is bit-identical (the
  * ledger arithmetic is always on; only the recorder is opt-in).
- * --bench-json=FILE writes those numbers as a google-benchmark-format
- * JSON part for scripts/run_benchmarks.sh to merge into
- * BENCH_simcore.json.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -38,7 +34,6 @@
 #include "core/scheme.hh"
 #include "host/biotracer.hh"
 #include "host/replayer.hh"
-#include "obs/json.hh"
 #include "obs/observer.hh"
 #include "obs/report.hh"
 
@@ -130,7 +125,6 @@ main(int argc, char **argv)
         std::string app;
         double bareNs = 0.0; ///< replay wall-clock, attribution off
         double attrNs = 0.0; ///< replay wall-clock, attribution on
-        double mrtMs = 0.0;  ///< attributed MRT (== bare MRT)
     };
     std::vector<AttrRow> attr_rows;
     bool attr_identical = true;
@@ -175,7 +169,6 @@ main(int argc, char **argv)
                       << "\n";
             attr_identical = false;
         }
-        row.mrtMs = mrt_on;
         attr_rows.push_back(std::move(row));
     }
 
@@ -193,44 +186,6 @@ main(int argc, char **argv)
     }
     std::cout << "\n== Attribution recorder overhead ==\n\n";
     attr_table.print(std::cout);
-
-    if (!args.benchJson.empty()) {
-        std::ofstream os(args.benchJson);
-        if (!os) {
-            std::cerr << "error: cannot write " << args.benchJson
-                      << "\n";
-            return 1;
-        }
-        obs::JsonWriter w(os);
-        w.beginObject();
-        w.key("context").beginObject();
-        w.field("executable", "bench_biotracer_overhead");
-        w.field("scale", args.scale);
-        w.endObject();
-        w.key("benchmarks").beginArray();
-        for (const AttrRow &r : attr_rows) {
-            w.beginObject();
-            w.field("name", "attribution_overhead/" + r.app);
-            w.field("run_name", "attribution_overhead/" + r.app);
-            w.field("run_type", "iteration");
-            w.field("repetitions", std::uint64_t{3});
-            w.field("iterations", std::uint64_t{1});
-            w.field("real_time", r.attrNs);
-            w.field("cpu_time", r.attrNs);
-            w.field("time_unit", "ns");
-            w.field("bare_real_time", r.bareNs);
-            w.field("attribution_overhead_pct",
-                    100.0 * (r.attrNs - r.bareNs) /
-                        std::max(r.bareNs, 1.0));
-            w.field("attributed_mrt_ms", r.mrtMs);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        os << "\n";
-        std::cout << "\nwrote bench JSON part to " << args.benchJson
-                  << "\n";
-    }
 
     if (!args.metricsJson.empty()) {
         report.setMeta("tool", "bench_biotracer_overhead");

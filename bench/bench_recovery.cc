@@ -13,7 +13,7 @@
  * plus the save/load throughput and image size of a full device
  * snapshot, and one case-level snapshot round trip (runCase with
  * snapshotAt, then resumeCase), which also sees the copies a case
- * image costs. Runs with the micro suite into BENCH_simcore.json.
+ * image costs.
  */
 
 #include <benchmark/benchmark.h>

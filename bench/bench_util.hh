@@ -34,12 +34,6 @@ struct BenchArgs
     unsigned jobs = 0;
     /** Run-report JSON output (--metrics-json=FILE; empty = off). */
     std::string metricsJson;
-    /**
-     * google-benchmark-format JSON part (--bench-json=FILE; empty =
-     * off) for scripts/run_benchmarks.sh to merge into
-     * BENCH_simcore.json alongside the real google-benchmark binaries.
-     */
-    std::string benchJson;
 };
 
 /**
@@ -60,10 +54,6 @@ parseBenchArgs(int argc, char **argv, double fallback_scale = 1.0)
             args.metricsJson = a.substr(15);
             if (args.metricsJson.empty())
                 sim::fatal("--metrics-json needs a file");
-        } else if (a.rfind("--bench-json=", 0) == 0) {
-            args.benchJson = a.substr(13);
-            if (args.benchJson.empty())
-                sim::fatal("--bench-json needs a file");
         } else if (a.rfind("--jobs=", 0) == 0) {
             if (!core::parseJobs(a.substr(7), args.jobs))
                 sim::fatal("bad --jobs: " + a.substr(7));

@@ -1,14 +1,15 @@
 /**
  * @file
- * Audited command-line number parsing, shared by the example CLIs and
- * the benches.
+ * Audited number parsing, shared by the example CLIs, the benches and
+ * every text trace line.
  *
  * These used to be copy-pasted per binary with drifting edge-case
  * behavior (overflow handling, leading '+'/whitespace, inf/nan). One
  * strict contract now applies everywhere:
  *
- *   parseU64: decimal digits only. Rejects empty strings, signs,
- *   whitespace, hex, partial parses, and values > UINT64_MAX.
+ *   parseInt / parseU64: decimal digits only, after a '-' for a
+ *   signed type. Rejects empty strings, '+', whitespace, hex, partial
+ *   parses, and out-of-range values.
  *
  *   parseF64: plain decimal/scientific notation starting with a
  *   digit, '-' or '.'. Rejects empty strings, leading whitespace or
@@ -26,32 +27,40 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "fault/injector.hh"
 
 namespace emmcsim::core {
 
 /**
- * Strict unsigned decimal parse of the whole string.
- * @retval true and sets @p v when @p s is a valid in-range u64.
+ * Strict decimal parse of the whole string into @p v: std::from_chars
+ * reads a '-' for a signed @p Int only, and no '+', blank or prefix.
+ * @retval true and sets @p v when @p s is a valid in-range value.
  */
-inline bool
-parseU64(const std::string &s, std::uint64_t &v)
+template <std::integral Int>
+bool
+parseInt(std::string_view s, Int &v)
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || end != s.c_str() + s.size())
+    Int n = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    if (ec != std::errc{} || end != s.data() + s.size())
         return false;
     v = n;
     return true;
+}
+
+/** Strict unsigned decimal parse of the whole string (parseInt). */
+inline bool
+parseU64(std::string_view s, std::uint64_t &v)
+{
+    return parseInt(s, v);
 }
 
 /**

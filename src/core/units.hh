@@ -243,22 +243,14 @@ class Quantity
     }
     /** @} */
 
-    /** @name Streaming: raw value, no unit suffix (text formats depend
-     * on byte-identical output). @{ */
+    /** Streams the raw value, no unit suffix (text formats depend on
+     * byte-identical output). */
     template <class CharT, class Traits>
     friend std::basic_ostream<CharT, Traits> &
     operator<<(std::basic_ostream<CharT, Traits> &os, Quantity q)
     {
         return os << q.v_;
     }
-
-    template <class CharT, class Traits>
-    friend std::basic_istream<CharT, Traits> &
-    operator>>(std::basic_istream<CharT, Traits> &is, Quantity &q)
-    {
-        return is >> q.v_;
-    }
-    /** @} */
 
   private:
     Rep v_ = 0;

@@ -1,6 +1,7 @@
 #include "emmc/device.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "sim/logging.hh"
 
@@ -45,43 +46,32 @@ EmmcDevice::submit(const IoRequest &request)
         stats_.bytesRead += request.sizeBytes.value();
     }
 
-    bool waited = busy_;
+    const bool waited = busy();
     if (!waited)
         ++stats_.noWaitRequests;
     stats_.queueDepthAtArrival.add(
-        static_cast<double>(queue_.size() + (busy_ ? 1 : 0)));
+        static_cast<double>(queueDepth() + (waited ? 1 : 0)));
 
-    queue_.push_back(Queued{request, waited});
-    if (!busy_)
+    CompletedRequest &c = queue_.emplace_back();
+    c.request = request;
+    c.waited = waited;
+    if (!waited)
         startNext();
 }
 
 void
 EmmcDevice::startNext()
 {
-    EMMCSIM_ASSERT(!queue_.empty(), "startNext with empty queue");
-    busy_ = true;
+    EMMCSIM_ASSERT(!busy() && head_ < queue_.size(),
+                   "startNext needs an idle device and a waiting request");
     const sim::Time now = sim_.now();
 
-    // Decide how many head requests ride this command (packed writes).
-    const std::size_t count =
-        packer_.packCount(queue_, [](const Queued &q) -> const IoRequest & {
-            return q.request;
-        });
-
-    std::vector<CompletedRequest> cmd = std::move(scratchCmd_);
-    cmd.clear();
-    cmd.reserve(count);
-    inflight_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-        CompletedRequest c;
-        c.request = queue_.front().request;
-        c.waited = queue_.front().waited;
-        c.packed = count > 1;
-        queue_.pop_front();
-        inflight_.push_back(c.request);
-        cmd.push_back(c);
-    }
+    // Decide how many waiting requests ride this command (packed
+    // writes); they become the in-flight span [head_, head_ + count).
+    const std::span<CompletedRequest> waiting(queue_.data() + head_,
+                                              queue_.size() - head_);
+    inflight_ = packer_.packCount(waiting, &CompletedRequest::request);
+    const std::span<CompletedRequest> cmd = waiting.first(inflight_);
 
     // Wake from low power if the idle gap crossed the threshold. The
     // warm-up is part of *service* time (BIOtracer's step 2 fires when
@@ -107,6 +97,7 @@ EmmcDevice::startNext()
 
     sim::Time done = begin;
     for (CompletedRequest &c : cmd) {
+        c.packed = cmd.size() > 1;
         c.serviceStart = service_start;
         c.phases.add(Phase::QueueWait, now - c.request.arrival);
         c.phases.add(Phase::MountStall, mount_part);
@@ -130,18 +121,9 @@ EmmcDevice::startNext()
     ++stats_.commands;
     stats_.busyTime += done - service_start;
 
-    // Completion closure: {this, vector} = 32 bytes, comfortably
-    // inside InlineAction's inline budget (no per-event heap
-    // allocation on the command path).
-    auto fire = [this, cmd = std::move(cmd)]() mutable {
-        finishCommand(std::move(cmd));
-    };
-    static_assert(sim::InlineAction::fits<decltype(fire)>(),
-                  "command-completion capture must stay inline");
     // The handle lets powerFail() cancel the acknowledgment: a cut
     // before `done` means these requests were never completed.
-    pendingCompletion_ = sim_.schedule(done, std::move(fire));
-    hasPendingCompletion_ = true;
+    pendingCompletion_ = sim_.schedule(done, [this] { finishCommand(); });
 }
 
 namespace {
@@ -279,11 +261,12 @@ EmmcDevice::flushRuns(const std::vector<UnitRun> &runs, sim::Time begin,
 }
 
 void
-EmmcDevice::finishCommand(std::vector<CompletedRequest> done)
+EmmcDevice::finishCommand()
 {
-    hasPendingCompletion_ = false;
-    inflight_.clear();
-    for (const CompletedRequest &c : done) {
+    // By index and by copy: a completion callback may submit(), which
+    // can grow queue_ and move its entries.
+    for (std::size_t i = 0; i < inflight_; ++i) {
+        const CompletedRequest c = queue_[head_ + i];
         // BIOtracer step ordering: arrival (1) <= service start (2)
         // <= finish (3). A violation means the dispatch path mis-
         // computed a timestamp and every latency statistic is suspect.
@@ -311,13 +294,18 @@ EmmcDevice::finishCommand(std::vector<CompletedRequest> done)
             onComplete_(c);
     }
 
-    // Hand the batch storage back to the scratch pool before the next
-    // dispatch (startNext reuses it), closing the allocation cycle:
-    // scratchCmd_ -> event capture -> finishCommand -> scratchCmd_.
-    scratchCmd_ = std::move(done);
-    scratchCmd_.clear();
-
-    busy_ = false;
+    // Drop the served entries: all of them once the queue drains,
+    // else in one compaction when they pass half the storage.
+    head_ += inflight_;
+    inflight_ = 0;
+    if (head_ == queue_.size()) {
+        queue_.clear();
+        head_ = 0;
+    } else if (2 * head_ > queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
     if (!queue_.empty()) {
         startNext();
     } else {
@@ -341,7 +329,7 @@ EmmcDevice::idleGcTick()
                         pendingIdleTicks_.end(), sim_.now());
     if (it != pendingIdleTicks_.end())
         pendingIdleTicks_.erase(it);
-    if (poweredOff_ || busy_ || !idle_)
+    if (poweredOff_ || busy() || !idle_)
         return; // power cut, or a request arrived before the window
     const sim::Time now = sim_.now();
     bool did_work = false;
@@ -365,27 +353,23 @@ EmmcDevice::powerFail(sim::Time now, std::vector<IoRequest> &dropped)
     crashTime_ = now;
 
     // The in-flight command never completes: cancel its completion
-    // event (the acknowledgment) and hand its requests — plus the
-    // whole queue — back for host-side re-issue after power-up.
-    if (hasPendingCompletion_) {
+    // event (the acknowledgment) and hand its requests — then the
+    // waiting ones — back for host-side re-issue after power-up.
+    if (busy())
         sim_.cancel(pendingCompletion_);
-        hasPendingCompletion_ = false;
-    }
-    spoStats_.droppedInFlight += inflight_.size();
-    for (const IoRequest &r : inflight_)
-        dropped.push_back(r);
-    inflight_.clear();
-    spoStats_.droppedQueued += queue_.size();
-    for (const Queued &q : queue_)
-        dropped.push_back(q.request);
+    spoStats_.droppedInFlight += inflight_;
+    spoStats_.droppedQueued += queueDepth();
+    for (std::size_t i = head_; i < queue_.size(); ++i)
+        dropped.push_back(queue_[i].request);
     queue_.clear();
+    head_ = 0;
+    inflight_ = 0;
 
     // Volatile RAM vanishes with the rail; dirty units in it were
     // acknowledged data the host will not re-send (the durability gap
     // the paper's flush barriers exist to close).
     spoStats_.lostDirtyUnits += buffer_.discardAll();
 
-    busy_ = false;
     idle_ = true;
 }
 
@@ -417,7 +401,6 @@ EmmcDevice::powerOn(sim::Time now)
     // gcBusyUntil_ so the stall attributes to MountStall, not GcWait.
     mountBusyUntil_ = std::max(mountBusyUntil_, now + rep.totalTime);
     poweredOff_ = false;
-    busy_ = false;
     idle_ = true;
     power_.onIdle(now);
     return rep;
@@ -460,8 +443,7 @@ EmmcDevice::fields(Self &self, IO &io)
 void
 EmmcDevice::save(core::BinWriter &w) const
 {
-    EMMCSIM_ASSERT(!busy_ && queue_.empty() && !hasPendingCompletion_ &&
-                       !poweredOff_,
+    EMMCSIM_ASSERT(queue_.empty() && !poweredOff_,
                    "snapshots are quiescent-point only");
     fields(*this, w);
 }
@@ -470,11 +452,10 @@ void
 EmmcDevice::load(core::BinReader &r)
 {
     fields(*this, r);
-    busy_ = false;
     poweredOff_ = false;
-    hasPendingCompletion_ = false;
     queue_.clear();
-    inflight_.clear();
+    head_ = 0;
+    inflight_ = 0;
     if (!r.ok())
         return;
     // Re-arm the idle-GC ticks that were pending at capture time; the

@@ -18,7 +18,6 @@
 #ifndef EMMCSIM_EMMC_DEVICE_HH
 #define EMMCSIM_EMMC_DEVICE_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -151,7 +150,7 @@ class EmmcDevice
     void submit(const IoRequest &request);
 
     /** @return true while a command is in flight. */
-    bool busy() const { return busy_; }
+    bool busy() const { return inflight_ > 0; }
 
     /** @return true between powerFail() and powerOn(). */
     bool poweredOff() const { return poweredOff_; }
@@ -159,9 +158,9 @@ class EmmcDevice
     /**
      * Cut device power at @p now (DESIGN.md §13). The in-flight
      * command's completion event is cancelled — those requests were
-     * never acknowledged — and together with everything still queued
-     * they are appended to @p dropped for host-side re-issue after
-     * power-up. The RAM buffer's contents (including acknowledged
+     * never acknowledged — and they, then the waiting requests in
+     * arrival order, are appended to @p dropped for host-side re-issue
+     * after power-up. The RAM buffer's contents (including acknowledged
      * dirty data not yet flushed) are discarded. The device accepts
      * no submissions until powerOn().
      */
@@ -208,7 +207,10 @@ class EmmcDevice
     /** @} */
 
     /** Requests waiting behind the in-flight command. */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const
+    {
+        return queue_.size() - head_ - inflight_;
+    }
 
     /**
      * Space utilization: host bytes written / flash bytes consumed for
@@ -256,11 +258,11 @@ class EmmcDevice
     template <typename Self, typename IO>
     static void fields(Self &self, IO &io);
 
-    /** Dispatch the next command from the queue head. */
+    /** Dispatch the next command from the first waiting entry. */
     void startNext();
 
     /** Completion handler for the in-flight command. */
-    void finishCommand(std::vector<CompletedRequest> done);
+    void finishCommand();
 
     /**
      * Serve one read request; returns its flash completion time and
@@ -311,13 +313,16 @@ class EmmcDevice
     PowerManager power_;
     RamBuffer buffer_;
 
-    struct Queued
-    {
-        IoRequest request;
-        bool waited;
-    };
-    std::deque<Queued> queue_;
-    bool busy_ = false;
+    /**
+     * Every request from submit() to completion, in arrival order:
+     * [head_, head_ + inflight_) is the command in flight, filled in
+     * place by startNext(); the entries after it wait. Served entries
+     * are dropped when the queue drains or compacted once head_ passes
+     * half the size (DESIGN.md §13.4).
+     */
+    std::vector<CompletedRequest> queue_;
+    std::size_t head_ = 0;
+    std::size_t inflight_ = 0; ///< requests riding the in-flight command
     bool idle_ = true;           ///< device has been idle since last work
     sim::Time gcBusyUntil_ = 0;  ///< idle GC occupies flash until here
     /**
@@ -329,26 +334,21 @@ class EmmcDevice
     sim::Time mountBusyUntil_ = 0;
 
     /**
-     * Power-loss bookkeeping. The in-flight command's requests are
-     * mirrored in inflight_ because the completion event owns the only
-     * other copy — cancelling it on a power cut would lose them.
-     * pendingIdleTicks_ mirrors every scheduled idle-GC tick (one
-     * entry per event, consumed as the event fires) so a snapshot can
-     * re-arm them on restore.
+     * Power-loss bookkeeping. pendingCompletion_ is the in-flight
+     * command's completion event, valid while inflight_ > 0, so a
+     * power cut can cancel it. pendingIdleTicks_ mirrors every
+     * scheduled idle-GC tick (one entry per event, consumed as the
+     * event fires) so a snapshot can re-arm them on restore.
      */
     bool poweredOff_ = false;
     sim::Time crashTime_ = 0;           ///< valid while poweredOff_
     sim::EventId pendingCompletion_;    ///< in-flight completion event
-    bool hasPendingCompletion_ = false;
-    std::vector<IoRequest> inflight_;
     std::vector<sim::Time> pendingIdleTicks_;
     SpoStats spoStats_;
 
     DeviceStats stats_;
     CompletionCallback onComplete_;
     TraceHook traceHook_;
-
-    std::vector<CompletedRequest> scratchCmd_; ///< command batch reuse
 };
 
 } // namespace emmcsim::emmc

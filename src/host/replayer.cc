@@ -144,7 +144,6 @@ Replayer::begin(const ReplayOptions &opts)
     nextArrival_ = 0;
     if (opts.snapshotAt >= 0 && opts.snapshotOut == nullptr)
         sim::fatal("replay: snapshotAt needs a snapshotOut writer");
-    snapshotAt_ = opts.snapshotAt;
     snapshotDone_ = false;
 }
 
@@ -165,14 +164,14 @@ Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
         restore(*image, out);
 
     sim::Simulator::HookId hook = 0;
-    if (snapshotAt_ >= 0) {
+    if (opts.snapshotAt >= 0) {
         hook = sim_.addPostEventHook(
             [this, &out](const sim::Simulator &) { maybeCapture(out); });
     }
     trace::MemoryTraceSource src(input, nextArrival_);
     StampSink sink(out);
     runLoop(src, sink, opts);
-    if (snapshotAt_ >= 0) {
+    if (opts.snapshotAt >= 0) {
         sim_.removePostEventHook(hook);
         if (!snapshotDone_)
             sim::fatal("replay: no quiescent point reached at or after "
@@ -462,7 +461,7 @@ Replayer::spoPowerUp()
 void
 Replayer::maybeCapture(const trace::Trace &out)
 {
-    if (snapshotDone_ || sim_.now() < snapshotAt_)
+    if (snapshotDone_ || sim_.now() < opts_->snapshotAt)
         return;
     // Quiescent point: nothing in flight anywhere — device idle with
     // an empty queue, no retry resubmission scheduled, nothing parked.

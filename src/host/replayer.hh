@@ -250,7 +250,8 @@ class Replayer final : private sim::ArrivalCursor
     /** Power-restore event body; re-issues parked requests. */
     void spoPowerUp();
 
-    /** Post-event hook body: capture once quiescent past snapshotAt_. */
+    /** Post-event hook body: capture once quiescent past
+     * opts_->snapshotAt. */
     void maybeCapture(const trace::Trace &out);
 
     sim::Simulator &sim_;
@@ -270,7 +271,6 @@ class Replayer final : private sim::ArrivalCursor
     std::vector<emmc::IoRequest> parked_; ///< awaiting power-up re-issue
     std::uint64_t pendingRetries_ = 0; ///< scheduled, not yet re-submitted
     std::uint64_t nextArrival_ = 0; ///< records submitted; the next id
-    sim::Time snapshotAt_ = -1;
     bool snapshotDone_ = false;
     /** @} */
 };

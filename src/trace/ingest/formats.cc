@@ -1,85 +1,31 @@
 #include "trace/ingest/formats.hh"
 
-#include <cctype>
-#include <sstream>
-#include <vector>
+#include <array>
+#include <string_view>
 
 #include "core/cli_util.hh"
+#include "trace/parse.hh"
 
 namespace emmcsim::trace::ingest {
 
-namespace {
-
-/** Split @p line on @p sep into trimmed fields. */
-std::vector<std::string>
-splitFields(const std::string &line, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= line.size()) {
-        std::size_t end = line.find(sep, start);
-        if (end == std::string::npos)
-            end = line.size();
-        std::size_t a = start;
-        std::size_t b = end;
-        while (a < b && std::isspace(static_cast<unsigned char>(line[a])))
-            ++a;
-        while (b > a &&
-               std::isspace(static_cast<unsigned char>(line[b - 1])))
-            --b;
-        out.push_back(line.substr(a, b - a));
-        if (end == line.size())
-            break;
-        start = end + 1;
-    }
-    return out;
-}
-
-/** Whitespace-tokenize @p line (any run of blanks separates). */
-std::vector<std::string>
-splitWhitespace(const std::string &line)
-{
-    std::vector<std::string> out;
-    std::istringstream ss(line);
-    std::string tok;
-    while (ss >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-bool
-blankLine(const std::string &line)
-{
-    for (char c : line)
-        if (!std::isspace(static_cast<unsigned char>(c)))
-            return false;
-    return true;
-}
-
 constexpr std::uint64_t kMaxSeconds = 9'000'000'000ull; // ~285 years
 
-} // namespace
-
 bool
-parseSecondsToNs(const std::string &tok, sim::Time &out)
+parseSecondsToNs(std::string_view tok, sim::Time &out)
 {
     const std::size_t dot = tok.find('.');
-    const std::string whole =
-        dot == std::string::npos ? tok : tok.substr(0, dot);
     std::uint64_t secs = 0;
-    if (!core::parseU64(whole, secs) || secs > kMaxSeconds)
+    if (!core::parseU64(tok.substr(0, dot), secs) || secs > kMaxSeconds)
         return false;
     std::uint64_t frac_ns = 0;
-    if (dot != std::string::npos) {
-        std::string frac = tok.substr(dot + 1);
-        if (frac.empty())
+    if (dot != std::string_view::npos) {
+        const std::string_view frac = tok.substr(dot + 1);
+        // Digits below ns resolution are checked, then truncated.
+        if (frac.find_first_not_of("0123456789") != std::string_view::npos ||
+            !core::parseU64(frac.substr(0, 9), frac_ns))
             return false;
-        if (frac.size() > 9)
-            frac.resize(9); // truncate below ns resolution
-        while (frac.size() < 9)
-            frac.push_back('0');
-        if (!core::parseU64(frac, frac_ns))
-            return false;
+        for (std::size_t i = frac.size(); i < 9; ++i)
+            frac_ns *= 10;
     }
     out = static_cast<sim::Time>(secs * 1'000'000'000ull + frac_ns);
     return true;
@@ -89,18 +35,17 @@ LineResult
 parseBlktraceLine(const std::string &line, RawRecord &out,
                   std::string &error)
 {
-    if (blankLine(line))
-        return LineResult::Skip;
     // blkparse appends summary sections ("CPU0 (sda):", "Total ...",
-    // "Reads Queued:", ...) after the event stream; anything whose
-    // first field is not a maj,min device number belongs to them.
-    const std::vector<std::string> f = splitWhitespace(line);
-    if (f.size() < 7 || f[0].find(',') == std::string::npos)
+    // "Reads Queued:", ...) after the event stream; a blank line or
+    // one whose first field is not a maj,min device number belongs to
+    // them.
+    std::array<std::string_view, 10> f;
+    const std::size_t n = splitFields(line, f);
+    if (n < 7 || f[0].find(',') == std::string_view::npos)
         return LineResult::Skip;
-    const std::string &action = f[5];
-    if (action != "Q")
+    if (f[5] != "Q")
         return LineResult::Skip; // C/D/I/M/...: not an arrival
-    const std::string &rwbs = f[6];
+    const std::string_view rwbs = f[6];
     bool is_write = false;
     bool has_dir = false;
     for (char c : rwbs) {
@@ -113,7 +58,7 @@ parseBlktraceLine(const std::string &line, RawRecord &out,
     }
     if (!has_dir)
         return LineResult::Skip; // barrier/flush-only record
-    if (f.size() < 10 || f[8] != "+") {
+    if (n < 10 || f[8] != "+") {
         error = "blktrace Q event without 'sector + count'";
         return LineResult::Error;
     }
@@ -121,12 +66,13 @@ parseBlktraceLine(const std::string &line, RawRecord &out,
     std::uint64_t start_sectors = 0;
     std::uint64_t count_sectors = 0;
     if (!parseSecondsToNs(f[3], ts)) {
-        error = "bad blktrace timestamp: " + f[3];
+        error = "bad blktrace timestamp: " + std::string(f[3]);
         return LineResult::Error;
     }
     if (!core::parseU64(f[7], start_sectors) ||
         !core::parseU64(f[9], count_sectors)) {
-        error = "bad blktrace sector fields: " + f[7] + " + " + f[9];
+        error = "bad blktrace sector fields: " + std::string(f[7]) +
+                " + " + std::string(f[9]);
         return LineResult::Error;
     }
     out.timestampNs = ts;
@@ -141,30 +87,30 @@ LineResult
 parseBiosnoopLine(const std::string &line, RawRecord &out,
                   std::string &error)
 {
-    if (blankLine(line))
-        return LineResult::Skip;
-    const std::vector<std::string> f = splitWhitespace(line);
-    if (!f.empty() && f[0] == "TIME(s)")
-        return LineResult::Skip; // column header
-    if (f.size() < 8) {
+    std::array<std::string_view, 8> f;
+    const std::size_t n = splitFields(line, f);
+    if (n == 0 || f[0] == "TIME(s)")
+        return LineResult::Skip; // blank line or column header
+    if (n < 8) {
         error = "biosnoop line needs 8 columns "
                 "(TIME COMM PID DISK T SECTOR BYTES LAT)";
         return LineResult::Error;
     }
-    const std::string &dir = f[4];
+    const std::string_view dir = f[4];
     if (dir != "R" && dir != "W") {
-        error = "bad biosnoop op (want R or W): " + dir;
+        error = "bad biosnoop op (want R or W): " + std::string(dir);
         return LineResult::Error;
     }
     sim::Time ts = 0;
     std::uint64_t start_sectors = 0;
     std::uint64_t bytes = 0;
     if (!parseSecondsToNs(f[0], ts)) {
-        error = "bad biosnoop timestamp: " + f[0];
+        error = "bad biosnoop timestamp: " + std::string(f[0]);
         return LineResult::Error;
     }
     if (!core::parseU64(f[5], start_sectors) || !core::parseU64(f[6], bytes)) {
-        error = "bad biosnoop sector/bytes fields: " + f[5] + " " + f[6];
+        error = "bad biosnoop sector/bytes fields: " + std::string(f[5]) +
+                " " + std::string(f[6]);
         return LineResult::Error;
     }
     out.timestampNs = ts;
@@ -179,18 +125,17 @@ LineResult
 parseAlibabaLine(const std::string &line, RawRecord &out,
                  std::string &error)
 {
-    if (blankLine(line))
-        return LineResult::Skip;
-    const std::vector<std::string> f = splitFields(line, ',');
-    if (!f.empty() && f[0] == "device_id")
-        return LineResult::Skip; // column header
-    if (f.size() < 5) {
+    std::array<std::string_view, 5> f;
+    const std::size_t n = splitFields(line, f, ',');
+    if ((n == 1 && f[0].empty()) || f[0] == "device_id")
+        return LineResult::Skip; // blank line or column header
+    if (n < 5) {
         error = "alibaba line needs 5 CSV fields "
                 "(device_id,opcode,offset,length,timestamp)";
         return LineResult::Error;
     }
     if (f[1] != "R" && f[1] != "W") {
-        error = "bad alibaba opcode (want R or W): " + f[1];
+        error = "bad alibaba opcode (want R or W): " + std::string(f[1]);
         return LineResult::Error;
     }
     std::uint64_t off = 0;
@@ -198,8 +143,8 @@ parseAlibabaLine(const std::string &line, RawRecord &out,
     std::uint64_t ts_us = 0;
     if (!core::parseU64(f[2], off) || !core::parseU64(f[3], len) ||
         !core::parseU64(f[4], ts_us)) {
-        error = "bad alibaba numeric fields: " + f[2] + "," + f[3] + "," +
-                f[4];
+        error = "bad alibaba numeric fields: " + std::string(f[2]) + "," +
+                std::string(f[3]) + "," + std::string(f[4]);
         return LineResult::Error;
     }
     out.timestampNs = static_cast<sim::Time>(ts_us) * 1000;
@@ -214,12 +159,12 @@ LineResult
 parseTencentLine(const std::string &line, RawRecord &out,
                  std::string &error)
 {
-    if (blankLine(line))
-        return LineResult::Skip;
-    const std::vector<std::string> f = splitFields(line, ',');
-    if (!f.empty() && (f[0] == "timestamp" || f[0] == "Timestamp"))
-        return LineResult::Skip; // column header
-    if (f.size() < 5) {
+    std::array<std::string_view, 5> f;
+    const std::size_t n = splitFields(line, f, ',');
+    if ((n == 1 && f[0].empty()) || f[0] == "timestamp" ||
+        f[0] == "Timestamp")
+        return LineResult::Skip; // blank line or column header
+    if (n < 5) {
         error = "tencent line needs 5 CSV fields "
                 "(timestamp,offset,size,iotype,volume_id)";
         return LineResult::Error;
@@ -228,16 +173,18 @@ parseTencentLine(const std::string &line, RawRecord &out,
     std::uint64_t off_sectors = 0;
     std::uint64_t size_sectors = 0;
     if (!parseSecondsToNs(f[0], ts)) {
-        error = "bad tencent timestamp: " + f[0];
+        error = "bad tencent timestamp: " + std::string(f[0]);
         return LineResult::Error;
     }
     if (!core::parseU64(f[1], off_sectors) ||
         !core::parseU64(f[2], size_sectors)) {
-        error = "bad tencent offset/size fields: " + f[1] + "," + f[2];
+        error = "bad tencent offset/size fields: " + std::string(f[1]) +
+                "," + std::string(f[2]);
         return LineResult::Error;
     }
     if (f[3] != "0" && f[3] != "1") {
-        error = "bad tencent iotype (want 0=read or 1=write): " + f[3];
+        error = "bad tencent iotype (want 0=read or 1=write): " +
+                std::string(f[3]);
         return LineResult::Error;
     }
     out.timestampNs = ts;

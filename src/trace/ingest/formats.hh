@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/types.hh"
 
@@ -45,7 +46,7 @@ enum class LineResult
  * past ~104 days). Fractional digits beyond 9 are truncated.
  * @return false on malformed input.
  */
-bool parseSecondsToNs(const std::string &tok, sim::Time &out);
+bool parseSecondsToNs(std::string_view tok, sim::Time &out);
 
 /**
  * blkparse default text: `maj,min cpu seq ts pid action rwbs sector

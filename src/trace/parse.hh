@@ -10,17 +10,25 @@
  * it and sorts; TextTraceSource adds only its sorted-arrival check.
  * The per-record helpers below report failure as a reason string
  * (empty = success); checkRecord also guards emmctrace-bin blocks.
+ *
+ * Every text line, here and in the ingest formats, is cut by
+ * splitFields and its numbers read by core::parseInt, so no line
+ * allocates and no field is read leniently.
  */
 
 #ifndef EMMCSIM_TRACE_PARSE_HH
 #define EMMCSIM_TRACE_PARSE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <istream>
-#include <sstream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "core/cli_util.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
 
@@ -37,6 +45,37 @@ stripCr(std::string &line)
 {
     if (!line.empty() && line.back() == '\r')
         line.pop_back();
+}
+
+/**
+ * Cut @p line into fields: on runs of whitespace when @p sep is 0,
+ * else on every @p sep with each field trimmed of whitespace. The
+ * first out.size() fields are written to @p out as views into @p line.
+ *
+ * @return the number of fields, which may exceed out.size().
+ */
+inline std::size_t
+splitFields(std::string_view line, std::span<std::string_view> out,
+            char sep = '\0')
+{
+    constexpr std::string_view kBlank = " \t\n\v\f\r";
+    std::size_t n = 0;
+    for (std::size_t pos = 0; pos <= line.size(); ++n) {
+        if (sep == '\0' &&
+            (pos = line.find_first_not_of(kBlank, pos)) == line.npos)
+            break;
+        const std::size_t end =
+            std::min(sep == '\0' ? line.find_first_of(kBlank, pos)
+                                 : line.find(sep, pos),
+                     line.size());
+        std::string_view f = line.substr(pos, end - pos);
+        f.remove_prefix(std::min(f.find_first_not_of(kBlank), f.size()));
+        f.remove_suffix(f.size() - (f.find_last_not_of(kBlank) + 1));
+        if (n < out.size())
+            out[n] = f;
+        pos = end + 1;
+    }
+    return n;
 }
 
 /**
@@ -72,36 +111,36 @@ checkRecord(const TraceRecord &r)
  * @return empty string on success, else the reason.
  */
 inline std::string
-parseRecordLine(const std::string &line, TraceRecord &r)
+parseRecordLine(std::string_view line, TraceRecord &r)
 {
-    std::istringstream ss(line);
     r = TraceRecord{};
-    char op = 0;
-    if (!(ss >> r.arrival >> r.lbaSector >> r.sizeBytes >> op)) {
+    std::array<std::string_view, 7> f;
+    const std::size_t n = splitFields(line, f);
+    std::uint64_t lba = 0;
+    std::uint64_t size = 0;
+    if (n < 4 || !core::parseInt(f[0], r.arrival) ||
+        !core::parseU64(f[1], lba) || !core::parseU64(f[2], size)) {
         return "malformed record (expected \"<arrival_ns> "
                "<lba_sector> <size_bytes> <R|W>\"): " +
-               line;
+               std::string(line);
     }
-    if (op == 'W' || op == 'w') {
+    r.lbaSector = units::Lba{lba};
+    r.sizeBytes = units::Bytes{size};
+    if (f[3] == "W" || f[3] == "w") {
         r.op = OpType::Write;
-    } else if (op == 'R' || op == 'r') {
+    } else if (f[3] == "R" || f[3] == "r") {
         r.op = OpType::Read;
     } else {
-        return std::string("bad op '") + op + "' (expected R or W)";
+        return "bad op '" + std::string(f[3]) + "' (expected R or W)";
     }
-    sim::Time svc = sim::kTimeNever;
-    sim::Time fin = sim::kTimeNever;
-    if (ss >> svc) {
-        if (!(ss >> fin))
+    if (n > 4) {
+        if (!core::parseInt(f[4], r.serviceStart))
+            return "trailing garbage after record: " + std::string(f[4]);
+        if (n < 6 || !core::parseInt(f[5], r.finish))
             return "service timestamp without a finish timestamp";
-        r.serviceStart = svc;
-        r.finish = fin;
-    } else {
-        ss.clear();
+        if (n > 6)
+            return "trailing garbage after record: " + std::string(f[6]);
     }
-    std::string extra;
-    if (ss >> extra)
-        return "trailing garbage after record: " + extra;
     return checkRecord(r);
 }
 
@@ -173,14 +212,16 @@ class TextTraceReader
     void
     header()
     {
-        const std::string name_key = "# name: ";
-        const std::string count_key = "# records: ";
-        if (line_.rfind(name_key, 0) == 0) {
-            name_ = line_.substr(name_key.size());
-        } else if (line_.rfind(count_key, 0) == 0) {
-            std::istringstream ss(line_.substr(count_key.size()));
-            if (ss >> declared_)
-                haveCount_ = true;
+        constexpr std::string_view name_key = "# name: ";
+        constexpr std::string_view count_key = "# records: ";
+        const std::string_view line = line_;
+        std::array<std::string_view, 1> f;
+        if (line.starts_with(name_key)) {
+            name_ = line.substr(name_key.size());
+        } else if (line.starts_with(count_key) &&
+                   splitFields(line.substr(count_key.size()), f) == 1 &&
+                   core::parseU64(f[0], declared_)) {
+            haveCount_ = true;
         }
     }
 

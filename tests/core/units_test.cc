@@ -245,13 +245,6 @@ TEST(Units, StreamsAsRawValue)
     std::ostringstream os;
     os << Lba{123} << ' ' << Bytes{4096} << ' ' << kNoUnit;
     EXPECT_EQ(os.str(), "123 4096 -1");
-
-    std::istringstream is("88 512");
-    Lba lba{0};
-    Bytes sz{0};
-    is >> lba >> sz;
-    EXPECT_EQ(lba, Lba{88});
-    EXPECT_EQ(sz, Bytes{512});
 }
 
 // ---------------------------------------------------------------------------

@@ -342,6 +342,71 @@ TEST(EmmcDevice, BusyAndQueueDepth)
     EXPECT_FALSE(dev.busy());
 }
 
+TEST(EmmcDevice, PowerFailDropsInFlightThenQueuedInArrivalOrder)
+{
+    // Unpacked: write 0 is in flight, writes 1 and 2 wait behind it.
+    {
+        sim::Simulator s;
+        EmmcConfig cfg = tinyConfig();
+        cfg.packing.enabled = false;
+        EmmcDevice dev(s, cfg);
+        std::vector<CompletedRequest> done;
+        dev.setCompletionCallback(
+            [&done](const CompletedRequest &c) { done.push_back(c); });
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            const IoRequest r =
+                makeReq(i, static_cast<sim::Time>(i), i * 8, 1, true);
+            s.schedule(r.arrival, [&dev, r] { dev.submit(r); });
+        }
+        std::vector<IoRequest> dropped;
+        s.schedule(3, [&] {
+            EXPECT_TRUE(dev.busy());
+            EXPECT_EQ(dev.queueDepth(), 2u);
+            dev.powerFail(s.now(), dropped);
+        });
+        s.run();
+        ASSERT_EQ(dropped.size(), 3u);
+        for (std::uint64_t i = 0; i < 3; ++i)
+            EXPECT_EQ(dropped[i].id, i);
+        EXPECT_EQ(dev.spoStats().droppedInFlight, 1u);
+        EXPECT_EQ(dev.spoStats().droppedQueued, 2u);
+        EXPECT_FALSE(dev.busy());
+        EXPECT_EQ(dev.queueDepth(), 0u);
+        EXPECT_TRUE(done.empty()) << "a cancelled command completed";
+    }
+    // Packed: read 0 finishes, writes 1 and 2 ride one command, read 3
+    // waits; the cut lands inside the packed command.
+    {
+        sim::Simulator s;
+        EmmcDevice dev(s, tinyConfig());
+        std::vector<IoRequest> dropped;
+        std::vector<CompletedRequest> done;
+        dev.setCompletionCallback([&](const CompletedRequest &c) {
+            done.push_back(c);
+            s.schedule(s.now() + 1, [&] {
+                EXPECT_TRUE(dev.busy());
+                EXPECT_EQ(dev.queueDepth(), 1u);
+                dev.powerFail(s.now(), dropped);
+            });
+        });
+        for (std::uint64_t i = 0; i < 4; ++i) {
+            const IoRequest r = makeReq(i, static_cast<sim::Time>(i),
+                                        i * 8, 1, i == 1 || i == 2);
+            s.schedule(r.arrival, [&dev, r] { dev.submit(r); });
+        }
+        s.run();
+        ASSERT_EQ(done.size(), 1u);
+        EXPECT_EQ(done[0].request.id, 0u);
+        ASSERT_EQ(dropped.size(), 3u);
+        for (std::uint64_t i = 0; i < 3; ++i)
+            EXPECT_EQ(dropped[i].id, i + 1);
+        EXPECT_EQ(dev.spoStats().droppedInFlight, 2u);
+        EXPECT_EQ(dev.spoStats().droppedQueued, 1u);
+        EXPECT_FALSE(dev.busy());
+        EXPECT_EQ(dev.queueDepth(), 0u);
+    }
+}
+
 TEST(EmmcDeviceDeath, MisalignedRequestPanics)
 {
     sim::Simulator s;

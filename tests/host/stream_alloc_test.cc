@@ -16,7 +16,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "emmc/device.hh"
@@ -301,9 +303,52 @@ TEST(StreamReplayAllocation, HpsRequestPathDoesNotAllocatePerRequest)
     const std::uint64_t allocs = marks.back() - marks[kWarm];
     EXPECT_LT(static_cast<double>(allocs) /
                   static_cast<double>(steadyRecords),
-              0.25)
+              0.01)
         << allocs << " allocations over " << steadyRecords
         << " steady-state requests";
+}
+
+} // namespace
+
+namespace {
+
+TEST(StreamReplayAllocation, TextSourceDoesNotAllocatePerRecord)
+{
+    // 16 chunks of 4096 lines, some with replay timestamps: every
+    // line is split and parsed in place, so once the line buffer and
+    // the file stream are warm no record allocates.
+    constexpr std::size_t kChunk = 4096;
+    constexpr std::size_t kRecords = 16 * kChunk;
+    const std::string path =
+        testing::TempDir() + "/stream_alloc_text_source.trace";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "# emmctrace v1\n# name: text-alloc\n# records: "
+           << kRecords << "\n";
+        for (std::size_t i = 0; i < kRecords; ++i) {
+            const std::size_t t = i * 1000;
+            os << t << ' ' << (i % 4096) * 8 << ' ' << 4096 * (1 + i % 8)
+               << (i % 3 == 0 ? " W" : " R");
+            if (i % 2 == 0)
+                os << ' ' << t + 10 << ' ' << t + 500;
+            os << '\n';
+        }
+    }
+
+    trace::TextTraceSource src(path);
+    static trace::TraceRecord buf[kChunk]; // off the counted heap
+    ASSERT_EQ(src.next(buf, kChunk), kChunk); // warm-up chunk
+    const std::uint64_t before = g_newCalls.load(std::memory_order_relaxed);
+    std::size_t records = 0;
+    while (std::size_t n = src.next(buf, kChunk))
+        records += n;
+    const std::uint64_t allocs =
+        g_newCalls.load(std::memory_order_relaxed) - before;
+    ASSERT_TRUE(src.error().ok()) << src.error().message();
+    EXPECT_EQ(records, kRecords - kChunk);
+    EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(records),
+              0.01)
+        << allocs << " allocations over " << records << " records";
 }
 
 } // namespace

@@ -292,6 +292,22 @@ TEST(TraceIoErrors, TrailingGarbageRejected)
     EXPECT_NE(err.reason.find("junk"), std::string::npos);
 }
 
+TEST(TraceIoErrors, SignedAndWrappedNumbersRejected)
+{
+    // LBA and size are unsigned decimals (core::parseU64), timestamps
+    // signed decimals without '+'. A lenient stream read wrapped
+    // "-4096" to a size near 2^64 and took "+16" as 16.
+    for (const char *bad : {"0 8 -4096 W", "0 -8 4096 W", "0 +16 4096 R",
+                            "0 8 4096 W +5 9"}) {
+        const TraceLoadError err =
+            loadBoth(std::string("0 0 4096 R\n") + bad + "\n");
+        EXPECT_FALSE(err.ok()) << bad;
+        EXPECT_EQ(err.line, 2u) << bad;
+        EXPECT_NE(err.message().find("line 2: "), std::string::npos)
+            << bad;
+    }
+}
+
 TEST(TraceIoErrors, UnopenableFileReportsPath)
 {
     Trace t;

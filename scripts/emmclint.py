@@ -35,9 +35,10 @@ clang-tidy check for us:
                        (map_.set / map_.clear / map_.reset*) in
                        src/ftl outside journal.cc.  Crash consistency
                        hinges on every L2P change flowing through the
-                       MetaJournal gateway (recordWrite / recordTrim /
-                       installRecovered, ...); a direct map_ write is
-                       an update recovery can never replay.
+                       MetaJournal gateway (recordWrite /
+                       recordRelocation / installRecovered); a direct
+                       map_ write is an update recovery can never
+                       replay.
   header-self-contained
                        Every header under src/ must compile on its
                        own (g++ -fsyntax-only).  Include-order

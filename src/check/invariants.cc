@@ -405,8 +405,7 @@ checkJournalAccounting(const ftl::Ftl &ftl, CheckContext &ctx)
     const ftl::JournalStats &st = j.stats();
 
     const std::uint64_t records = st.writeRecords + st.relocRecords +
-                                  st.trimRecords + st.eraseRecords +
-                                  st.retireRecords;
+                                  st.eraseRecords + st.retireRecords;
     ctx.check(records == j.seq(),
               "journal: record counters sum to " +
                   std::to_string(records) + " but the sequence is " +

@@ -215,7 +215,7 @@ class BinWriter
 
     /**
      * u64 table stored as (index, value) pairs when mostly zero —
-     * the trim and page-seq tables are huge but mostly empty.
+     * the page-seq tables are huge but mostly empty.
      */
     void
     sparseU64(std::span<const std::uint64_t> v)
@@ -436,23 +436,6 @@ class BinReader
         });
     }
 
-    /** A sparseU64 of any length; @p v takes the stored one. */
-    void
-    sparseU64(std::vector<std::uint64_t> &v)
-    {
-        const std::uint64_t n = u64();
-        const std::uint8_t mode = u8();
-        v.clear();
-        // Dense entries are all in the image; sparse zeros are not.
-        if (mode == 1 ? n > (std::uint64_t{1} << 40)
-                      : n > remaining() / sizeof(std::uint64_t)) {
-            ok_ = false;
-            return;
-        }
-        v.assign(n, 0);
-        sparseBody(v, mode);
-    }
-
     /**
      * A sparseU64 of exactly v.size() values into @p v, which must
      * be all zero: only the non-zero values are stored, so the
@@ -467,7 +450,28 @@ class BinReader
             ok_ = false;
             return;
         }
-        sparseBody(v, mode);
+        const auto put = [&v](std::size_t i, std::uint64_t x) {
+            if (x != 0)
+                v[i] = x;
+        };
+        if (mode != 1) {
+            podBody<std::uint64_t>(v.size(), put);
+            return;
+        }
+        const std::uint64_t nonzero = u64();
+        if (nonzero > remaining() / 16) {
+            ok_ = false;
+            return;
+        }
+        for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
+            const std::uint64_t i = u64();
+            const std::uint64_t x = u64();
+            if (i >= v.size()) {
+                ok_ = false;
+                return;
+            }
+            put(i, x);
+        }
     }
 
     /** A text value; fails unless its operator>> accepts it. */
@@ -533,34 +537,6 @@ class BinReader
             put(i, v);
         }
         pos_ += n * sizeof(T);
-    }
-
-    /** A sparseU64's entries, its length and mode read, into zeros. */
-    void
-    sparseBody(std::span<std::uint64_t> v, std::uint8_t mode)
-    {
-        const auto put = [&v](std::size_t i, std::uint64_t x) {
-            if (x != 0)
-                v[i] = x;
-        };
-        if (mode != 1) {
-            podBody<std::uint64_t>(v.size(), put);
-            return;
-        }
-        const std::uint64_t nonzero = u64();
-        if (nonzero > remaining() / 16) {
-            ok_ = false;
-            return;
-        }
-        for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
-            const std::uint64_t i = u64();
-            const std::uint64_t x = u64();
-            if (i >= v.size()) {
-                ok_ = false;
-                return;
-            }
-            put(i, x);
-        }
     }
 
     void

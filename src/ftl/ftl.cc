@@ -354,21 +354,6 @@ Ftl::placeUnits(std::uint32_t plane, std::uint32_t pool, flash::Ppn ppn,
 }
 
 void
-Ftl::trim(flash::Lpn start, std::uint32_t n)
-{
-    for (std::uint32_t i = 0; i < n; ++i) {
-        flash::Lpn lpn = start + i;
-        const MapEntry e = map_.lookup(lpn);
-        if (e.mapped()) {
-            array_.plane(static_cast<std::uint32_t>(e.planeLinear))
-                .pool(e.pool)
-                .invalidateUnit(e.ppn, e.unit);
-            journal_.recordTrim(lpn);
-        }
-    }
-}
-
-void
 Ftl::flushBarrier()
 {
     journal_.flushBarrier();

@@ -52,18 +52,6 @@ MetaJournal::recordRelocation(flash::Lpn lpn, const MapEntry &e)
     return append();
 }
 
-std::uint64_t
-MetaJournal::recordTrim(flash::Lpn lpn)
-{
-    map_.clear(lpn);
-    ++stats_.trimRecords;
-    const std::uint64_t s = append();
-    if (trimSeq_.empty())
-        trimSeq_.assign(map_.logicalUnits(), 0);
-    trimSeq_[static_cast<std::size_t>(lpn.value())] = s;
-    return s;
-}
-
 void
 MetaJournal::recordErase(sim::Time done)
 {
@@ -104,20 +92,6 @@ MetaJournal::checkpoint()
     ++stats_.checkpoints;
 }
 
-std::uint64_t
-MetaJournal::dropVolatileTrims()
-{
-    std::uint64_t dropped = 0;
-    for (std::uint64_t &s : trimSeq_) {
-        if (s > durableSeq_) {
-            s = 0;
-            ++dropped;
-        }
-    }
-    stats_.droppedTrims += dropped;
-    return dropped;
-}
-
 void
 MetaJournal::resetMapForRecovery()
 {
@@ -130,25 +104,24 @@ MetaJournal::installRecovered(flash::Lpn lpn, const MapEntry &e)
     map_.set(lpn, e);
 }
 
-void
-MetaJournal::dropRecovered(flash::Lpn lpn)
-{
-    map_.clear(lpn);
-}
-
-std::uint64_t
-MetaJournal::durableTrimSeq(flash::Lpn lpn) const
-{
-    if (trimSeq_.empty())
-        return 0;
-    return trimSeq_[static_cast<std::size_t>(lpn.value())];
-}
-
 template <typename Self, typename IO>
 void
 MetaJournal::fields(Self &self, IO &io)
 {
-    io.pod(self.stats_);
+    // Snapshot layout v1 holds two trim counters (stats slots 3 and 9)
+    // and an empty trim table (length 0, mode byte 0); a load requires
+    // them to be zero.
+    const auto zero = std::uint64_t{0};
+    auto &st = self.stats_;
+    io.pod(st.writeRecords);
+    io.pod(st.relocRecords);
+    io.expect(zero);
+    io.pod(st.eraseRecords);
+    io.pod(st.retireRecords);
+    io.pod(st.pagesFlushed);
+    io.pod(st.barrierFlushes);
+    io.pod(st.checkpoints);
+    io.expect(zero);
     io.pod(self.seq_);
     io.pod(self.durableSeq_);
     io.pod(self.openRecords_);
@@ -156,7 +129,8 @@ MetaJournal::fields(Self &self, IO &io)
     io.pod(self.pagesSinceCheckpoint_);
     io.pod(self.checkpointPages_);
     io.pod(self.lastEraseDone_);
-    io.sparseU64(self.trimSeq_);
+    io.expect(zero);
+    io.expect(std::uint8_t{0});
 }
 
 void
@@ -169,8 +143,6 @@ void
 MetaJournal::load(core::BinReader &r)
 {
     fields(*this, r);
-    if (!trimSeq_.empty() && trimSeq_.size() != map_.logicalUnits())
-        r.fail();
 }
 
 } // namespace emmcsim::ftl

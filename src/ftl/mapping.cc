@@ -51,20 +51,10 @@ void
 PageMap::set(flash::Lpn lpn, const MapEntry &e)
 {
     const std::size_t i = slot(lpn);
-    EMMCSIM_ASSERT(e.mapped(), "setting unmapped entry; use clear()");
+    EMMCSIM_ASSERT(e.mapped(), "setting unmapped entry");
     if (entries_[i].planeLinear == 0)
         ++mappedCount_;
     entries_[i] = encode(e);
-}
-
-void
-PageMap::clear(flash::Lpn lpn)
-{
-    const std::size_t i = slot(lpn);
-    if (entries_[i].planeLinear != 0) {
-        --mappedCount_;
-        entries_.zero(i, 1);
-    }
 }
 
 void

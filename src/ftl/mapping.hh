@@ -57,9 +57,6 @@ class PageMap
     /** Point @p lpn at a new physical location. */
     void set(flash::Lpn lpn, const MapEntry &e);
 
-    /** Drop the mapping for @p lpn (trim/discard). */
-    void clear(flash::Lpn lpn);
-
     /** Count of currently mapped units. */
     std::uint64_t mappedCount() const { return mappedCount_; }
 

@@ -45,11 +45,7 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
     }
     lastHostProgram_.valid = false;
 
-    // 2. Volatile trims (journaled but never flushed) are forgotten:
-    // the trimmed data legally resurrects.
-    rep.droppedTrims = journal_.dropVolatileTrims();
-
-    // 3. An erase whose completion lies beyond the cut is re-run at
+    // 2. An erase whose completion lies beyond the cut is re-run at
     // power-up. Block state already reads as erased (the simulator
     // committed it eagerly); only the re-erase time is charged.
     if (journal_.lastEraseDone() > crash_time) {
@@ -57,16 +53,15 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         rep.reEraseTime = timing.eraseLatency;
     }
 
-    // 4. Rebuild the mapping from the OOB stamps. RAM validity state
+    // 3. Rebuild the mapping from the OOB stamps. RAM validity state
     // is gone. The map itself holds the running winner of each logical
     // unit, the copy with the highest seq; a winner's seq is the stamp
-    // of the page its entry points at. Both passes below visit only
-    // written pages, so host cost follows the data on flash, not the
-    // device's capacity.
-    auto seqOf = [this](const MapEntry &e) {
+    // of the page its entry points at. One pass visits only written
+    // pages, so host cost follows the data on flash, not the device's
+    // capacity.
+    auto poolOf = [this](const MapEntry &e) -> flash::BlockPool & {
         return array_.plane(static_cast<std::uint32_t>(e.planeLinear))
-            .pool(e.pool)
-            .pageSeq(e.ppn);
+            .pool(e.pool);
     };
     // Visit every stamped unit of every non-free, non-retired block as
     // (copy, lpn, seq); returns the pages examined.
@@ -111,37 +106,26 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
             array_.plane(pl).pool(k).beginRecoveryScan();
     journal_.resetMapForRecovery();
 
-    // Pass 1: elect the winners. Every copy after the first of an lpn
-    // is a stale copy, whichever of the two wins.
+    // A copy that beats the winner invalidates it and takes its entry
+    // and its valid bit. Every copy after the first of an lpn is a
+    // stale copy, whichever of the two wins.
     rep.scannedPages = scanStamped(
         [&](const MapEntry &copy, flash::Lpn lpn, std::uint64_t seq) {
             if (map_.mapped(lpn)) {
                 ++rep.staleCopies;
-                if (seq <= seqOf(map_.lookup(lpn)))
+                const MapEntry winner = map_.lookup(lpn);
+                flash::BlockPool &wp = poolOf(winner);
+                if (seq <= wp.pageSeq(winner.ppn))
                     return;
+                wp.invalidateUnit(winner.ppn, winner.unit);
+            } else {
+                ++rep.recoveredUnits;
             }
             journal_.installRecovered(lpn, copy);
+            poolOf(copy).revalidateUnit(copy.ppn, copy.unit);
         });
 
-    // Pass 2: a copy is the winner exactly when the map points at it.
-    // A trim recorded after the winner was written voids it; every
-    // other winner is live again.
-    scanStamped(
-        [&](const MapEntry &copy, flash::Lpn lpn, std::uint64_t seq) {
-            if (map_.lookup(lpn) != copy)
-                return;
-            if (journal_.durableTrimSeq(lpn) > seq) {
-                journal_.dropRecovered(lpn);
-                ++rep.trimmedWinners;
-                return;
-            }
-            array_.plane(static_cast<std::uint32_t>(copy.planeLinear))
-                .pool(copy.pool)
-                .revalidateUnit(copy.ppn, copy.unit);
-            ++rep.recoveredUnits;
-        });
-
-    // 5. Seal the blocks open at the cut. Cost model: a real controller
+    // 4. Seal the blocks open at the cut. Cost model: a real controller
     // OOB-scans only the blocks its checkpoint had not sealed.
     for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {
         for (std::uint32_t k = 0; k < geom.pools.size(); ++k) {
@@ -157,10 +141,10 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         }
     }
 
-    // 6. Volatile placement state restarts from scratch.
+    // 5. Volatile placement state restarts from scratch.
     alloc_.resetCursors();
 
-    // 7. Time the realistic protocol. Metadata pages live in the
+    // 6. Time the realistic protocol. Metadata pages live in the
     // split's small-page pool; open-block OOB scans and torn-page
     // probes pay that pool's read latency.
     const auto &meta = timing.pools[split_.tailPool];
@@ -176,7 +160,7 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         static_cast<sim::Time>(rep.openBlockScanPages + rep.tornPages) *
         meta.readLatency;
 
-    // 8. A fresh checkpoint closes recovery so a second crash never
+    // 7. A fresh checkpoint closes recovery so a second crash never
     // replays this one's work.
     journal_.checkpoint();
     rep.checkpointWriteTime =
@@ -191,7 +175,6 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         "ftl", "power-up recovery: " +
                    std::to_string(rep.recoveredUnits) + " units, " +
                    std::to_string(rep.tornPages) + " torn, " +
-                   std::to_string(rep.droppedTrims) + " trims dropped, " +
                    std::to_string(rep.totalTime) + " ns");
     return rep;
 }

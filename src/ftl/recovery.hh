@@ -4,10 +4,10 @@
  * power-off cost and found (DESIGN.md §13).
  *
  * The recovery procedure itself is Ftl::powerFailAndRecover (defined
- * in recovery.cc): tear the in-flight host program, forget volatile
- * trims, rebuild the mapping table from the out-of-band (lpn, seq)
- * stamps of every written page, seal the blocks that were open at the
- * cut, and write a fresh checkpoint. This header only carries the
+ * in recovery.cc): tear the in-flight host program, rebuild the mapping
+ * table in one pass over the out-of-band (lpn, seq) stamps of every
+ * written page, seal the blocks that were open at the cut, and write a
+ * fresh checkpoint. This header only carries the
  * result so emmc/ and obs/ can consume it without pulling in the FTL.
  */
 
@@ -25,11 +25,9 @@ struct RecoveryReport
 {
     /** @name State found. @{ */
     std::uint64_t tornPages = 0;     ///< programs destroyed by the cut
-    std::uint64_t droppedTrims = 0;  ///< volatile trims forgotten
     std::uint64_t scannedPages = 0;  ///< pages examined by the OOB scan
     std::uint64_t recoveredUnits = 0; ///< mapping winners installed
     std::uint64_t staleCopies = 0;   ///< older copies losing to a winner
-    std::uint64_t trimmedWinners = 0; ///< winners voided by durable trims
     std::uint64_t reErasedBlocks = 0; ///< erases interrupted, re-run
     std::uint64_t sealedBlocks = 0;  ///< open blocks closed at power-up
     /** @} */

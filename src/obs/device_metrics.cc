@@ -93,11 +93,9 @@ registerDeviceMetrics(Registry &registry, const emmc::EmmcDevice &device)
     const ftl::JournalStats &jn = device.ftl().journal().stats();
     bindCounter(registry, "ftl.journal.write_records", jn.writeRecords);
     bindCounter(registry, "ftl.journal.reloc_records", jn.relocRecords);
-    bindCounter(registry, "ftl.journal.trim_records", jn.trimRecords);
     bindCounter(registry, "ftl.journal.pages_flushed", jn.pagesFlushed);
     bindCounter(registry, "ftl.journal.barrier_flushes", jn.barrierFlushes);
     bindCounter(registry, "ftl.journal.checkpoints", jn.checkpoints);
-    bindCounter(registry, "ftl.journal.dropped_trims", jn.droppedTrims);
     registry.counter("ftl.journal.seq", [&device] {
         return device.ftl().journal().seq();
     });

@@ -76,6 +76,27 @@ TEST(Locality, SequentialRequiresExactAdjacency)
     EXPECT_EQ(res.sequentialRequests, 0u);
 }
 
+TEST(Locality, ZeroAndLargestStartAddressesHit)
+{
+    // LBA 0 and the largest LBAs are starts like any other.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    trace::Trace t("extremes");
+    sim::Time at = 0;
+    for (const std::uint64_t lba :
+         {std::uint64_t{0}, kMax, kMax - 1, std::uint64_t{0}, kMax,
+          kMax - 1, std::uint64_t{1}}) {
+        trace::TraceRecord r;
+        r.arrival = at++;
+        r.lbaSector = emmcsim::units::Lba{lba};
+        r.sizeBytes = emmcsim::units::Bytes{4096};
+        r.op = trace::OpType::Read;
+        t.push(r);
+    }
+    LocalityResult res = computeLocality(t);
+    EXPECT_EQ(res.addressHits, 3u);
+    EXPECT_EQ(res.sequentialRequests, 0u);
+}
+
 TEST(SizeStats, Table3Columns)
 {
     trace::Trace t("x");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the Ftl facade: mapping consistency, read grouping,
- * pseudo reads, trim, space accounting and over-provisioning.
+ * pseudo reads, space accounting and over-provisioning.
  */
 
 #include <gtest/gtest.h>
@@ -187,26 +187,6 @@ TEST(Ftl, ZeroUnitReadIsFree)
     FtlUnderTest t;
     EXPECT_EQ(t.ftl.readUnits(L(0), 0, 77).done, 77);
     EXPECT_EQ(t.ftl.stats().hostReadOps, 0u);
-}
-
-TEST(Ftl, TrimDropsMappingAndInvalidates)
-{
-    FtlUnderTest t;
-    t.ftl.writeGroup(0, L(3), 1, 0);
-    MapEntry e = t.ftl.map().lookup(L(3));
-    t.ftl.trim(L(3), 1);
-    EXPECT_FALSE(t.ftl.map().mapped(L(3)));
-    auto &pool =
-        t.array.plane(static_cast<std::uint32_t>(e.planeLinear))
-            .pool(e.pool);
-    EXPECT_FALSE(pool.unitValid(e.ppn, e.unit));
-}
-
-TEST(Ftl, TrimUnmappedIsNoop)
-{
-    FtlUnderTest t;
-    t.ftl.trim(L(0), 8);
-    EXPECT_EQ(t.ftl.map().mappedCount(), 0u);
 }
 
 TEST(Ftl, SpaceAccountingChargesFullPage)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized consistency tests: drive the FTL with random write /
- * read / trim traffic against a simple reference model and check that
+ * read traffic against a simple reference model and check that
  * the mapping, pool validity, and conservation invariants hold after
  * every step — including through garbage collection, on a single-pool
  * and a hybrid-page-size geometry.
@@ -138,13 +138,9 @@ TEST_P(FtlFuzz, RandomTrafficKeepsInvariants)
                 for (std::uint32_t i = 0; i < g.count; ++i)
                     live.insert(g.first + i);
             });
-        } else if (op < 9) { // read (mapped or not)
+        } else { // read (mapped or not)
             sim::Time done = rig.ftl.readUnits(start, n, t).done;
             ASSERT_GE(done, t);
-        } else { // trim
-            rig.ftl.trim(start, n);
-            for (std::uint32_t i = 0; i < n; ++i)
-                live.erase(start + i);
         }
 
         if (step % 50 == 0)

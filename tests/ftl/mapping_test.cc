@@ -58,22 +58,6 @@ TEST(PageMap, OverwriteKeepsCount)
     EXPECT_EQ(m.lookup(Lpn{3}).ppn, Ppn{2});
 }
 
-TEST(PageMap, ClearUnmaps)
-{
-    PageMap m(10);
-    m.set(Lpn{5}, entry(0, 0, 9, 0));
-    m.clear(Lpn{5});
-    EXPECT_FALSE(m.mapped(Lpn{5}));
-    EXPECT_EQ(m.mappedCount(), 0u);
-}
-
-TEST(PageMap, ClearUnmappedIsNoop)
-{
-    PageMap m(10);
-    m.clear(Lpn{7});
-    EXPECT_EQ(m.mappedCount(), 0u);
-}
-
 TEST(PageMap, EntryMappedPredicate)
 {
     MapEntry e;
@@ -94,7 +78,7 @@ TEST(PageMapDeath, SetUnmappedEntryPanics)
 {
     PageMap m(4);
     MapEntry unmapped;
-    EXPECT_DEATH(m.set(Lpn{0}, unmapped), "use clear");
+    EXPECT_DEATH(m.set(Lpn{0}, unmapped), "setting unmapped entry");
 }
 
 TEST(PageMap, ManyEntriesIndependent)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Differential power-up recovery test: seeded write / trim / flush
- * histories on a small device, cut several times, with every recovery
- * checked against a reference written here (DESIGN.md §13.3).
+ * Differential power-up recovery test: seeded write / flush histories
+ * on a small device, cut several times, with every recovery checked
+ * against a reference written here (DESIGN.md §13.3).
  *
  * The reference reads the pools' OOB (lpn, seq) stamps straight off
- * every page before the cut, keeps the highest-seq copy of each lpn in
- * a std::map, and applies the torn program and the test's own record
- * of trims. It is slow and obviously right. After each recovery the whole
+ * every page before the cut, skips the torn program, and keeps the
+ * highest-seq copy of each lpn in a std::map: the highest seq wins.
+ * It is slow and obviously right. After each recovery the whole
  * logical range, mappedCount() and every RecoveryReport field must
  * match it, and the audit checkers must be clean.
  */
@@ -70,16 +70,6 @@ class DiffRig
         now_ = r.done;
         lastWrite_ = ftl_.map().lookup(flash::Lpn{start});
         lastWriteDone_ = r.done;
-    }
-
-    /** Trim one lpn, logging the trim record if the FTL made one. */
-    void
-    trim(std::int64_t lpn)
-    {
-        const std::uint64_t before = ftl_.journal().seq();
-        ftl_.trim(flash::Lpn{lpn}, 1);
-        if (ftl_.journal().seq() != before)
-            trims_[lpn] = ftl_.journal().seq();
     }
 
     /** Simulated time of the last completed operation. */
@@ -155,8 +145,7 @@ class DiffRig
 
     /**
      * The expected outcome of a cut at @p crash, read from the device
-     * before recovery touches it. Forgets the volatile trims, as the
-     * cut does.
+     * before recovery touches it.
      */
     RefRecovery
     reference(sim::Time crash)
@@ -216,27 +205,9 @@ class DiffRig
             }
         }
         rep.staleCopies = copies - winners.size();
-
-        // Trims that never reached flash are forgotten.
-        for (auto it = trims_.begin(); it != trims_.end();) {
-            if (it->second > j.durableSeq()) {
-                it = trims_.erase(it);
-                ++rep.droppedTrims;
-            } else {
-                ++it;
-            }
-        }
-
-        // A durable trim later than the winner voids it.
-        for (const auto &[lpn, w] : winners) {
-            const auto t = trims_.find(lpn);
-            if (t != trims_.end() && t->second > w.seq) {
-                ++rep.trimmedWinners;
-                continue;
-            }
+        for (const auto &[lpn, w] : winners)
             ref.map[lpn] = w.at;
-            ++rep.recoveredUnits;
-        }
+        rep.recoveredUnits = winners.size();
 
         // Cost model: checkpoint + journal read back, open-block and
         // torn-page probes, a re-run erase, a fresh checkpoint.
@@ -279,11 +250,9 @@ class DiffRig
     {
 #define EXPECT_FIELD(f) EXPECT_EQ(got.f, want.f) << #f
         EXPECT_FIELD(tornPages);
-        EXPECT_FIELD(droppedTrims);
         EXPECT_FIELD(scannedPages);
         EXPECT_FIELD(recoveredUnits);
         EXPECT_FIELD(staleCopies);
-        EXPECT_FIELD(trimmedWinners);
         EXPECT_FIELD(reErasedBlocks);
         EXPECT_FIELD(sealedBlocks);
         EXPECT_FIELD(checkpointPagesRead);
@@ -335,13 +304,6 @@ class DiffRig
     /** Location and completion of the last host write since a cut. */
     std::optional<MapEntry> lastWrite_;
     sim::Time lastWriteDone_ = 0;
-    /**
-     * Latest trim seq per lpn, the one register MetaJournal keeps; a
-     * cut forgets it when that trim was volatile. So a volatile trim
-     * also hides an older durable trim of the same lpn (see
-     * ROADMAP.md, version-exact crash oracle).
-     */
-    std::map<std::int64_t, std::uint64_t> trims_;
 };
 
 } // namespace
@@ -366,17 +328,12 @@ TEST_P(RecoveryDifferential, MatchesReferenceAcrossRepeatedCuts)
     for (int epoch = 0; epoch < 8; ++epoch) {
         for (int step = 0; step < 400; ++step) {
             const auto op = rng.uniformInt(0, 19);
-            if (op < 12) { // write, often an overwrite
+            if (op < 19) { // write, often an overwrite
                 const auto pool = static_cast<std::uint32_t>(
                     rng.uniformInt(0, hybrid ? 1 : 0));
                 const std::uint32_t n = pool == 1 ? 2 : 1;
                 ASSERT_NO_FATAL_FAILURE(rig.write(
                     pool, rng.uniformInt(0, logical - n), n));
-            } else if (op < 19) { // trim a short range
-                const auto start = rng.uniformInt(0, logical - 4);
-                const auto n = rng.uniformInt(1, 4);
-                for (std::int64_t i = 0; i < n; ++i)
-                    rig.trim(start + i);
             } else {
                 ftl.flushBarrier();
             }
@@ -393,16 +350,12 @@ TEST_P(RecoveryDifferential, MatchesReferenceAcrossRepeatedCuts)
         if (HasFailure())
             return;
         seen.tornPages += rep.tornPages;
-        seen.droppedTrims += rep.droppedTrims;
         seen.staleCopies += rep.staleCopies;
-        seen.trimmedWinners += rep.trimmedWinners;
     }
     // The histories must have exercised what they claim to.
     EXPECT_GT(ftl.gcStats().erasedBlocks, 0u);
     EXPECT_EQ(seen.tornPages, 4u);
-    EXPECT_GT(seen.droppedTrims, 0u);
     EXPECT_GT(seen.staleCopies, 0u);
-    EXPECT_GT(seen.trimmedWinners, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,7 +7,8 @@
  * heap must not scale with trace length (that is the whole point of
  * TraceSource: a multi-GB capture replays without materializing a
  * record vector) — and the request path (write split, FTL reads and
- * writes) must not allocate per request once warm. Own binary for the
+ * writes) must not allocate per request once warm, nor must the
+ * locality statistic computed over a replayed trace. Own binary for the
  * same reason as sim_alloc_test: the replacement operators apply to
  * everything linked with them.
  */
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/locality.hh"
 #include "emmc/device.hh"
 #include "host/replayer.hh"
 #include "trace/source.hh"
@@ -349,6 +351,31 @@ TEST(StreamReplayAllocation, TextSourceDoesNotAllocatePerRecord)
     EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(records),
               0.01)
         << allocs << " allocations over " << records << " records";
+}
+
+TEST(StreamReplayAllocation, LocalityAllocatesOneTable)
+{
+    // 65,536 requests over 16,384 distinct start LBAs: the set of
+    // starts seen is one table allocated up front, not a node per
+    // address.
+    constexpr std::uint64_t kRecords = 1u << 16;
+    constexpr std::uint64_t kStarts = 1u << 14;
+    trace::Trace t("locality-alloc");
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        trace::TraceRecord r;
+        r.arrival = static_cast<sim::Time>(i) * 1000;
+        r.lbaSector = units::Lba{(i * 7919 % kStarts) * 24};
+        r.sizeBytes = units::Bytes{4096};
+        r.op = trace::OpType::Write;
+        t.push(r);
+    }
+    const std::uint64_t before = g_newCalls.load(std::memory_order_relaxed);
+    const analysis::LocalityResult loc = analysis::computeLocality(t);
+    const std::uint64_t allocs =
+        g_newCalls.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(loc.addressHits, kRecords - kStarts);
+    EXPECT_LE(allocs, 2u) << allocs << " allocations over " << kRecords
+                          << " records";
 }
 
 } // namespace

@@ -21,7 +21,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 0.5);
+        bench::parseBenchArgs(argc, argv, 0.5, bench::kJobsFlag);
     const double scale = args.scale;
     std::cout << "== Ablation A7: dynamic vs static write allocation "
                  "(scale " << scale << ") ==\n\n";

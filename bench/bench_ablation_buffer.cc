@@ -21,7 +21,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 0.5);
+        bench::parseBenchArgs(argc, argv, 0.5, bench::kJobsFlag);
     const double scale = args.scale;
     std::cout << "== Ablation A2: RAM buffer size vs hit rate "
                  "(Implication 3; scale " << scale << ") ==\n\n";

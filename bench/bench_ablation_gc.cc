@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 0.25);
+        bench::parseBenchArgs(argc, argv, 0.25, bench::kJobsFlag);
     const double scale = args.scale;
     std::cout << "== Ablation A1: blocking GC vs idle-time GC "
                  "(Implication 2; scale " << scale << ") ==\n\n";

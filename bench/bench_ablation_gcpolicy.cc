@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 0.25);
+        bench::parseBenchArgs(argc, argv, 0.25, bench::kJobsFlag);
     const double scale = args.scale;
     std::cout << "== Ablation A6: GC victim policy on an aged device "
                  "(scale " << scale << ") ==\n\n";

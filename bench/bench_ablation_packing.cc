@@ -42,7 +42,8 @@ throughput(std::uint64_t req_bytes, bool packing, bool multiplane)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, 1.0, bench::kJobsFlag);
     std::cout << "== Ablation A4: packing and multi-plane commands vs "
                  "write throughput (Implication 1 / Fig 3) ==\n\n";
 

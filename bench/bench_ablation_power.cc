@@ -36,7 +36,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 0.5);
+        bench::parseBenchArgs(argc, argv, 0.5, bench::kJobsFlag);
     const double scale = args.scale;
     std::cout << "== Ablation A3: power-saving threshold sweep "
                  "(Characteristic 4; scale " << scale << ") ==\n\n";

@@ -42,7 +42,8 @@ using namespace emmcsim;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 0.5);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, 0.5, bench::kMetricsJsonFlag);
     std::cout << "== BIOtracer overhead (Section II-C; scale "
               << args.scale << ") ==\n\n";
 

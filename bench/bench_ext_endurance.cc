@@ -17,6 +17,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "sim/random.hh"
@@ -27,9 +28,7 @@ using namespace emmcsim;
 int
 main(int argc, char **argv)
 {
-    double volume_x = argc > 1 ? std::atof(argv[1]) : 2.0;
-    if (volume_x <= 0.0)
-        volume_x = 2.0;
+    const double volume_x = bench::parseBenchArgs(argc, argv, 2.0).scale;
     std::cout << "== Extension E2: GC and endurance under small random "
                  "writes (" << volume_x
               << "x raw capacity written) ==\n\n";

@@ -20,6 +20,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "workload/generator.hh"
@@ -42,9 +43,7 @@ baseOptions()
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.05;
-    if (scale <= 0.0)
-        scale = 0.05;
+    const double scale = bench::parseBenchArgs(argc, argv, 0.05).scale;
 
     const workload::AppProfile *profile =
         workload::findProfile("Booting");

@@ -21,7 +21,7 @@ using namespace emmcsim;
 int
 main(int argc, char **argv)
 {
-    const double scale = bench::parseScale(argc, argv, 0.5);
+    const double scale = bench::parseBenchArgs(argc, argv, 0.5).scale;
     std::cout << "== Extension E1: SLC-mode 4KB pool (Implication 5; "
                  "scale " << scale << ") ==\n\n";
 

@@ -1,7 +1,5 @@
 #include "analysis/characteristics.hh"
 
-#include <sstream>
-
 #include "analysis/distributions.hh"
 #include "analysis/locality.hh"
 #include "analysis/size_stats.hh"
@@ -27,11 +25,8 @@ evaluateCharacteristics(const std::vector<trace::Trace> &traces)
         if (smallRequestFraction(t) > 0.40)
             ++rep.smallMajority;
 
-        if (ts.replayed) {
-            rep.noWaitAvailable = true;
-            if (ts.noWaitPct >= 60.0)
-                ++rep.highNoWait;
-        }
+        if (ts.replayed && ts.noWaitPct >= 60.0)
+            ++rep.highNoWait;
 
         if (ts.spatialPct < 48.0)
             ++rep.weakSpatial;
@@ -44,29 +39,6 @@ evaluateCharacteristics(const std::vector<trace::Trace> &traces)
             ++rep.heavyGapTail;
     }
     return rep;
-}
-
-std::string
-describeCharacteristics(const CharacteristicsReport &r)
-{
-    std::ostringstream os;
-    os << "C1 write-dominant: " << r.writeDominant << "/" << r.traces
-       << " (" << r.writeAbove90 << " above 90%)\n";
-    os << "C2 small-request majority: " << r.smallMajority << "/"
-       << r.traces << "\n";
-    if (r.noWaitAvailable) {
-        os << "C3 high NoWait ratio: " << r.highNoWait << "/" << r.traces
-           << "\n";
-    } else {
-        os << "C3 high NoWait ratio: (traces not replayed)\n";
-    }
-    os << "C5 weak spatial locality: " << r.weakSpatial << "/" << r.traces
-       << ", temporal >= spatial in " << r.temporalAboveSpatial << "/"
-       << r.traces << "\n";
-    os << "C6 long inter-arrivals: mean>=200ms in " << r.longMeanGap
-       << "/" << r.traces << ", >20% gaps above 16ms in "
-       << r.heavyGapTail << "/" << r.traces << "\n";
-    return os.str();
 }
 
 } // namespace emmcsim::analysis

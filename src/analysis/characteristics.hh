@@ -9,7 +9,6 @@
 #define EMMCSIM_ANALYSIS_CHARACTERISTICS_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -32,7 +31,6 @@ struct CharacteristicsReport
     /** C3: traces where >=60% of requests are served immediately
      *  (needs replayed traces; 0 otherwise). */
     std::size_t highNoWait = 0;
-    bool noWaitAvailable = false;
 
     /** C5: traces with spatial locality below 48%. */
     std::size_t weakSpatial = 0;
@@ -48,9 +46,6 @@ struct CharacteristicsReport
 /** Evaluate the characteristics over @p traces. */
 CharacteristicsReport
 evaluateCharacteristics(const std::vector<trace::Trace> &traces);
-
-/** Render the report as a short human-readable summary. */
-std::string describeCharacteristics(const CharacteristicsReport &r);
 
 } // namespace emmcsim::analysis
 

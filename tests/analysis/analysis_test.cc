@@ -261,14 +261,6 @@ TEST(Characteristics, DetectsWriteDominance)
     EXPECT_EQ(rep.weakSpatial, 1u);
 }
 
-TEST(Characteristics, DescribeMentionsAllSix)
-{
-    CharacteristicsReport rep;
-    std::string text = describeCharacteristics(rep);
-    for (const char *tag : {"C1", "C2", "C3", "C5", "C6"})
-        EXPECT_NE(text.find(tag), std::string::npos) << tag;
-}
-
 TEST(Correlation, PearsonPerfectAndInverse)
 {
     std::vector<double> x = {1, 2, 3, 4, 5};

@@ -171,7 +171,6 @@ TEST(Integration, CharacteristicsHoldOnGeneratedSet)
     EXPECT_GE(rep.writeDominant, 14u);   // paper: 15/18
     EXPECT_GE(rep.writeAbove90, 5u);     // paper: 6
     EXPECT_GE(rep.smallMajority, 14u);   // paper: 15/18
-    EXPECT_TRUE(rep.noWaitAvailable);
     EXPECT_GE(rep.highNoWait, 11u);      // paper: 15/18 at >=63%
     EXPECT_GE(rep.weakSpatial, 17u);     // paper: all below 48% (YouTube
                                          // sits at 47.6% and can cross

@@ -291,9 +291,7 @@ addTraceRows(std::vector<Row> &rows, const std::string &name, bool combo,
     const RowSink resp{rows, combo ? "fig7b" : "fig5"};
     addHistogram(resp, name, analysis::responseBucketLabels(),
                  analysis::responseDistribution(res.replayed));
-    if (combo)
-        resp(name, "MRT (ms)", res.meanResponseMs, 2);
-    else
+    if (!combo)
         resp(name, "corr(size,resp)",
              analysis::sizeResponseCorrelation(res.replayed), 2);
     const RowSink gaps{rows, combo ? "fig7c" : "fig6"};
@@ -437,7 +435,7 @@ addClaims(std::vector<Row> &rows,
       exactly(6, "paper C1: 6 traces above 90% writes"));
     c("C2 4KB requests > 40%", "Traces", n(chars.smallMajority), 0,
       gap(15, "paper C2: 15 of 18 traces are small-request dominated"));
-    c("C3 NoWait >= 60%", "Traces", n(chars.highNoWait), 0,
+    c("C3 NoWait >= 63%", "Traces", n(chars.highNoWait), 0,
       gap(15, "paper C3: >=63% NoWait in 15 of 18 traces, >80% in 10"));
     c("C5 spatial locality < 48%", "Traces", n(chars.weakSpatial), 0,
       exactly(18, "paper C5: spatial locality below 48% in all traces"));

@@ -8,12 +8,12 @@
  * Usage: characterize_app [app-name] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/distributions.hh"
 #include "analysis/size_stats.hh"
 #include "analysis/timing_stats.hh"
+#include "core/cli_util.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "workload/generator.hh"
@@ -40,7 +40,13 @@ int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "Facebook";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    double scale = 1.0;
+    if (argc > 3 ||
+        (argc > 2 && (!core::parseF64(argv[2], scale) || scale <= 0))) {
+        std::cerr << "usage: characterize_app [app-name] [scale]\n"
+                     "  scale: a positive number\n";
+        return 2;
+    }
 
     const workload::AppProfile *profile = workload::findProfile(app);
     if (profile == nullptr) {

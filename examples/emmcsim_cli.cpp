@@ -12,10 +12,13 @@
  *                                      --audit runs full invariant
  *                                      audits every N events (default
  *                                      10000) and reports the outcome
- *   compare <app> [scale]              run the Fig 8/9 comparison
  *   sweep [app ...] [--schemes=L] [--ablate=L] [--jobs=N] ...
  *                                      fan out app x scheme x ablation
- *                                      replays over worker threads
+ *                                      replays over worker threads;
+ *                                      the Section V case study (Fig 8
+ *                                      MRT, Fig 9 space utilization)
+ *                                      is `sweep <app>`, and --audit /
+ *                                      --fault-* act as for replay
  *   snapshot <trace> <image> [scheme] --at=NS
  *                                      replay until the first quiescent
  *                                      point at/after NS and write a
@@ -227,12 +230,25 @@ parseScheme(const std::string &name, core::SchemeKind &kind)
     return false;
 }
 
-/** Observability output files requested on the command line. */
-struct ObsOutputs
+/** Randomized SPO schedule requested via --spo-random=N,seed. */
+struct SpoRandomArgs
 {
+    std::uint64_t count = 0; ///< 0 = not requested
+    std::uint64_t seed = 1;
+};
+
+/**
+ * What the run flags set: the experiment options and the output files
+ * of one replay, snapshot, restore or sweep (parseRunFlags).
+ */
+struct RunArgs
+{
+    core::ExperimentOptions opts;
     std::string metricsJson; ///< run-report JSON (--metrics-json)
     std::string chromeTrace; ///< Chrome trace_event JSON (--trace-out)
     std::string replayedTrace; ///< replayed trace, text (--trace-csv)
+    SpoRandomArgs spoRandom;
+    bool haveAt = false; ///< --at given (snapshot)
 };
 
 /** Write @p path through @p write(os); prints an error on failure. */
@@ -253,20 +269,12 @@ writeFileOrReport(const std::string &path, Write &&write)
 /** How cmdReplay drives the run: plain, capture, or resume. */
 enum class RunMode { Replay, Snapshot, Restore };
 
-/** Randomized SPO schedule requested via --spo-random=N,seed. */
-struct SpoRandomArgs
-{
-    std::uint64_t count = 0; ///< 0 = not requested
-    std::uint64_t seed = 1;
-};
-
 int
 cmdReplay(const std::string &path, const std::string &scheme,
-          core::ExperimentOptions opts, const ObsOutputs &outs,
-          const SpoRandomArgs &spo_random = {},
-          RunMode mode = RunMode::Replay,
-          const std::string &image_path = {})
+          const RunArgs &ra, RunMode mode, const std::string &image_path)
 {
+    core::ExperimentOptions opts = ra.opts;
+    const SpoRandomArgs &spo_random = ra.spoRandom;
     core::SchemeKind kind = core::SchemeKind::HPS;
     if (!parseScheme(scheme, kind)) {
         std::cerr << "error: unknown scheme (use 4PS, 8PS, HPS, or "
@@ -294,7 +302,7 @@ cmdReplay(const std::string &path, const std::string &scheme,
                          "to draw from; use --spo-at)\n";
             return 2;
         }
-        if (!outs.replayedTrace.empty()) {
+        if (!ra.replayedTrace.empty()) {
             std::cerr << "error: --trace-csv needs a text trace (a "
                          "streamed emmctrace-bin replay keeps no "
                          "per-record timestamps)\n";
@@ -430,7 +438,7 @@ cmdReplay(const std::string &path, const std::string &scheme,
             return 3;
     }
 
-    if (!outs.metricsJson.empty()) {
+    if (!ra.metricsJson.empty()) {
         obs::RunReport report;
         report.setMeta("tool", "emmcsim_cli");
         report.setMeta("command", "replay");
@@ -440,24 +448,24 @@ cmdReplay(const std::string &path, const std::string &scheme,
         report.setMeta("requests", res.requests);
         report.addRun("replay", res.obs.metrics, res.obs.series,
                       res.obs.attribution);
-        report.writeJsonFile(outs.metricsJson);
-        std::cout << "\nwrote metrics report to " << outs.metricsJson
+        report.writeJsonFile(ra.metricsJson);
+        std::cout << "\nwrote metrics report to " << ra.metricsJson
                   << "\n";
     }
-    if (!outs.chromeTrace.empty()) {
-        if (!writeFileOrReport(outs.chromeTrace, [&](std::ostream &os) {
+    if (!ra.chromeTrace.empty()) {
+        if (!writeFileOrReport(ra.chromeTrace, [&](std::ostream &os) {
                 os << res.obs.chromeTrace;
             }))
             return 1;
-        std::cout << "wrote Chrome trace to " << outs.chromeTrace
+        std::cout << "wrote Chrome trace to " << ra.chromeTrace
                   << "\n";
     }
-    if (!outs.replayedTrace.empty()) {
-        if (!writeFileOrReport(outs.replayedTrace, [&](std::ostream &os) {
+    if (!ra.replayedTrace.empty()) {
+        if (!writeFileOrReport(ra.replayedTrace, [&](std::ostream &os) {
                 res.replayed.save(os);
             }))
             return 1;
-        std::cout << "wrote replayed trace to " << outs.replayedTrace
+        std::cout << "wrote replayed trace to " << ra.replayedTrace
                   << "\n";
     }
     return 0;
@@ -637,40 +645,13 @@ cmdTraceInfo(const std::string &path, const std::string &metrics_json)
     return 0;
 }
 
-int
-cmdCompare(const std::string &app, double scale)
-{
-    const workload::AppProfile *p = workload::findProfile(app);
-    if (p == nullptr) {
-        std::cerr << "unknown application: " << app << "\n";
-        return 1;
-    }
-    workload::TraceGenerator gen(*p, 1);
-    trace::Trace t = gen.generate(scale);
-    core::TablePrinter table(
-        {"Scheme", "MRT (ms)", "Mean serv (ms)", "Space util"});
-    for (core::SchemeKind kind : core::extendedSchemes()) {
-        core::CaseResult res = core::runCase(t, kind);
-        table.addRow({res.scheme, core::fmt(res.meanResponseMs),
-                      core::fmt(res.meanServiceMs),
-                      core::fmt(res.spaceUtilization, 3)});
-    }
-    table.print(std::cout);
-    return 0;
-}
-
-/** One ablation variant applied on top of the Table V scheme. */
-struct SweepVariant
-{
-    std::string name;
-    core::ExperimentOptions opts;
-};
-
-/** Map an --ablate toggle name to its experiment options. */
+/**
+ * Apply the --ablate toggle @p name on top of @p opts.
+ * @retval false when @p name is no known variant.
+ */
 bool
-parseVariant(const std::string &name, SweepVariant &out)
+applyVariant(const std::string &name, core::ExperimentOptions &opts)
 {
-    core::ExperimentOptions opts;
     if (name == "baseline") {
         // Table V device as-is.
     } else if (name == "nopack") {
@@ -686,8 +667,6 @@ parseVariant(const std::string &name, SweepVariant &out)
     } else {
         return false;
     }
-    out.name = name;
-    out.opts = opts;
     return true;
 }
 
@@ -713,12 +692,11 @@ struct SweepArgs
 {
     std::vector<std::string> apps; ///< empty = all individual profiles
     std::vector<core::SchemeKind> schemes;
-    std::vector<SweepVariant> variants;
+    std::vector<std::string> variants; ///< --ablate toggle names
     double scale = 0.25;
     std::uint64_t seed = 1;
     unsigned jobs = 0; ///< 0 = one worker per hardware thread
-    std::string metricsJson;
-    bool attribution = false; ///< per-run attribution in the report
+    RunArgs run; ///< options every case starts from, and --metrics-json
 };
 
 /**
@@ -726,7 +704,8 @@ struct SweepArgs
  * worker threads and print one table row per case, in the deterministic
  * product order. Traces are generated once per app up front and
  * shared read-only by the workers, so every run replays identical
- * input regardless of --jobs.
+ * input regardless of --jobs. With --audit, one audit report per case
+ * follows the table, and any violation makes the exit status 3.
  */
 int
 cmdSweep(const SweepArgs &sa)
@@ -757,15 +736,14 @@ cmdSweep(const SweepArgs &sa)
     std::vector<core::SweepCase> cases;
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
         for (core::SchemeKind kind : sa.schemes) {
-            for (const SweepVariant &variant : sa.variants) {
+            for (const std::string &variant : sa.variants) {
                 core::SweepCase c;
                 c.label = profiles[ti]->name + "/" +
-                          core::schemeName(kind) + "/" + variant.name;
+                          core::schemeName(kind) + "/" + variant;
                 c.trace = &traces[ti];
                 c.kind = kind;
-                c.opts = variant.opts;
-                c.opts.obs.metrics = !sa.metricsJson.empty();
-                c.opts.obs.attribution = sa.attribution;
+                c.opts = sa.run.opts;
+                applyVariant(variant, c.opts);
                 cases.push_back(std::move(c));
             }
         }
@@ -795,7 +773,16 @@ cmdSweep(const SweepArgs &sa)
     }
     table.print(std::cout);
 
-    if (!sa.metricsJson.empty()) {
+    bool audit_clean = true;
+    if (sa.run.opts.auditEveryEvents > 0) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            std::cout << "\nInvariant audit (" << cases[i].label << "):\n";
+            core::printAuditReport(std::cout, results[i].audit);
+            audit_clean = audit_clean && results[i].audit.clean();
+        }
+    }
+
+    if (!sa.run.metricsJson.empty()) {
         obs::RunReport report;
         report.setMeta("tool", "emmcsim_cli");
         report.setMeta("command", "sweep");
@@ -806,11 +793,11 @@ cmdSweep(const SweepArgs &sa)
         for (std::size_t i = 0; i < results.size(); ++i)
             report.addRun(cases[i].label, results[i].obs.metrics, {},
                           results[i].obs.attribution);
-        report.writeJsonFile(sa.metricsJson);
+        report.writeJsonFile(sa.run.metricsJson);
         std::cout << "\nwrote metrics report (" << report.runCount()
-                  << " runs) to " << sa.metricsJson << "\n";
+                  << " runs) to " << sa.run.metricsJson << "\n";
     }
-    return 0;
+    return audit_clean ? 0 : 3;
 }
 
 int
@@ -862,8 +849,9 @@ usage()
            "[4PS|8PS|HPS|HSLC]\n"
            "      resume a snapshot to completion; pass the same "
            "flags as the capture\n"
-           "  emmcsim_cli compare <app> [scale]\n"
            "  emmcsim_cli sweep [app ...]\n"
+           "      the Fig 8/9 case study: MRT and space utilization "
+           "per app x scheme\n"
            "      [--schemes=4PS,8PS,HPS,HSLC] schemes to replay "
            "(default 4PS,8PS,HPS)\n"
            "      [--ablate=LIST]         ablation variants per case: "
@@ -882,6 +870,13 @@ usage()
            "case\n"
            "      [--attribution]         per-run attribution sections "
            "in the report\n"
+           "      [--audit[=N]]           full invariant audits of every "
+           "case, as for replay;\n"
+           "                              exit 3 on a violation\n"
+           "      [--fault-rber=X] [--fault-seed=N] "
+           "[--fault-program-fail=X]\n"
+           "      [--fault-erase-fail=X]  NAND fault injection, as for "
+           "replay\n"
            "  emmcsim_cli explain <report.json>\n"
            "      print where the time went: phase breakdown, tail "
            "composition,\n"
@@ -926,6 +921,9 @@ using core::parseF64;
 using core::parseJobs;
 using core::parseU64;
 
+/** The "--name[=value]" flags of one command line, in order. */
+using FlagList = std::vector<std::pair<std::string, std::string>>;
+
 /**
  * Split @p args into positional arguments and "--name[=value]" flags.
  * Flags listed in @p value_flags may also take their value as the next
@@ -937,8 +935,7 @@ splitArgs(const std::vector<std::string> &args,
           const std::vector<std::string> &known_flags,
           const std::vector<std::string> &value_flags,
           std::vector<std::string> &positionals,
-          std::vector<std::pair<std::string, std::string>> &flags,
-          std::string &problem)
+          FlagList &flags, std::string &problem)
 {
     auto contains = [](const std::vector<std::string> &v,
                        const std::string &s) {
@@ -974,6 +971,98 @@ splitArgs(const std::vector<std::string> &args,
     return true;
 }
 
+/**
+ * Parse the run flags among @p flags into @p ra: every flag that sets
+ * core::ExperimentOptions or names an output file. A subcommand's
+ * known-flag list decides which of them reach here; the subcommand
+ * parses its other flags itself.
+ * @return the usage error, or empty on success.
+ */
+std::string
+parseRunFlags(const FlagList &flags, RunArgs &ra)
+{
+    core::ExperimentOptions &opts = ra.opts;
+    for (const auto &[name, value] : flags) {
+        if (name == "--audit") {
+            opts.auditEveryEvents = 10000;
+            if (!value.empty() &&
+                (!parseU64(value, opts.auditEveryEvents) ||
+                 opts.auditEveryEvents == 0))
+                return "bad --audit interval: " + value;
+        } else if (core::isFaultFlag(name)) {
+            if (!core::parseFaultFlag(name, value, opts.fault))
+                return "bad " + name + ": " + value;
+        } else if (name == "--retries") {
+            std::uint64_t n = 0;
+            if (!parseU64(value, n) || n > 1000)
+                return "bad --retries: " + value;
+            opts.hostMaxRetries = static_cast<std::uint32_t>(n);
+        } else if (name == "--metrics-json") {
+            if (value.empty())
+                return "--metrics-json needs a file";
+            ra.metricsJson = value;
+            opts.obs.metrics = true;
+        } else if (name == "--trace-out") {
+            if (value.empty())
+                return "--trace-out needs a file";
+            ra.chromeTrace = value;
+            opts.obs.traceSpans = true;
+        } else if (name == "--trace-csv") {
+            if (value.empty())
+                return "--trace-csv needs a file";
+            ra.replayedTrace = value;
+        } else if (name == "--sample-window-ms") {
+            std::uint64_t ms = 0;
+            if (!parseU64(value, ms) || ms == 0)
+                return "bad --sample-window-ms: " + value;
+            opts.obs.sampleWindow =
+                sim::milliseconds(static_cast<std::int64_t>(ms));
+        } else if (name == "--attribution") {
+            if (!value.empty())
+                return "--attribution takes no value";
+            opts.obs.attribution = true;
+        } else if (name == "--spo-at") {
+            for (const std::string &s : splitList(value)) {
+                std::uint64_t ns = 0;
+                if (!parseU64(s, ns) || ns == 0)
+                    return "bad --spo-at tick: " + s;
+                opts.spo.ticks.push_back(static_cast<sim::Time>(ns));
+            }
+            if (opts.spo.ticks.empty())
+                return "--spo-at needs a tick list";
+            std::sort(opts.spo.ticks.begin(), opts.spo.ticks.end());
+        } else if (name == "--spo-random") {
+            const std::vector<std::string> parts = splitList(value);
+            SpoRandomArgs &r = ra.spoRandom;
+            if (parts.size() != 2 || !parseU64(parts[0], r.count) ||
+                r.count == 0 || r.count > 100000 ||
+                !parseU64(parts[1], r.seed))
+                return "bad --spo-random (want N,SEED): " + value;
+        } else if (name == "--spo-notify") {
+            if (!value.empty())
+                return "--spo-notify takes no value";
+            opts.spo.notify = true;
+        } else if (name == "--spo-delay-ms") {
+            std::uint64_t ms = 0;
+            if (!parseU64(value, ms) || ms == 0)
+                return "bad --spo-delay-ms: " + value;
+            opts.spo.powerOnDelay =
+                sim::milliseconds(static_cast<std::int64_t>(ms));
+        } else if (name == "--at") {
+            std::uint64_t ns = 0;
+            if (!parseU64(value, ns))
+                return "bad --at: " + value;
+            opts.snapshotAt = static_cast<sim::Time>(ns);
+            ra.haveAt = true;
+        }
+    }
+    if (opts.obs.sampleWindow > 0 && ra.metricsJson.empty())
+        return "--sample-window-ms requires --metrics-json";
+    if (opts.obs.attribution && ra.metricsJson.empty())
+        return "--attribution requires --metrics-json";
+    return {};
+}
+
 } // namespace
 
 int
@@ -986,13 +1075,15 @@ main(int argc, char **argv)
     const std::vector<std::string> rest(raw.begin() + 1, raw.end());
 
     // Per-subcommand flag tables; anything else is a usage error.
+    const std::vector<std::string> fault_flags = {
+        "--fault-rber", "--fault-seed", "--fault-program-fail",
+        "--fault-erase-fail"};
     std::vector<std::string> known;
     std::vector<std::string> valued;
     if (cmd == "replay" || cmd == "snapshot" || cmd == "restore") {
-        known = {"--audit", "--fault-rber", "--fault-seed",
-                 "--fault-program-fail", "--fault-erase-fail",
-                 "--retries", "--metrics-json", "--trace-out",
+        known = {"--audit", "--retries", "--metrics-json", "--trace-out",
                  "--trace-csv", "--sample-window-ms"};
+        known.insert(known.end(), fault_flags.begin(), fault_flags.end());
         valued = known;
         known.push_back("--attribution");
         if (cmd == "replay") {
@@ -1008,8 +1099,11 @@ main(int argc, char **argv)
     } else if (cmd == "sweep") {
         known = {"--schemes", "--ablate", "--scale", "--seed",
                  "--jobs", "--metrics-json"};
+        known.insert(known.end(), fault_flags.begin(), fault_flags.end());
         valued = known;
-        known.push_back("--attribution");
+        // --audit takes its interval only as --audit=N here: a next
+        // token is an app name.
+        known.insert(known.end(), {"--attribution", "--audit"});
     } else if (cmd == "ingest") {
         known = {"--volume", "--target-units", "--name",
                  "--metrics-json"};
@@ -1019,9 +1113,13 @@ main(int argc, char **argv)
         valued = known;
     }
     std::vector<std::string> pos;
-    std::vector<std::pair<std::string, std::string>> flags;
+    FlagList flags;
     std::string problem;
     if (!splitArgs(rest, known, valued, pos, flags, problem))
+        return usageError(problem);
+    RunArgs ra;
+    problem = parseRunFlags(flags, ra);
+    if (!problem.empty())
         return usageError(problem);
 
     if (cmd == "list") {
@@ -1063,106 +1161,16 @@ main(int argc, char **argv)
             image_path = pos[1];
             pos.erase(pos.begin() + 1);
         }
-        core::ExperimentOptions opts;
-        ObsOutputs outs;
-        SpoRandomArgs spo_random;
-        bool have_at = false;
-        for (const auto &[name, value] : flags) {
-            if (name == "--audit") {
-                opts.auditEveryEvents = 10000;
-                if (!value.empty() &&
-                    (!parseU64(value, opts.auditEveryEvents) ||
-                     opts.auditEveryEvents == 0))
-                    return usageError("bad --audit interval: " + value);
-            } else if (core::isFaultFlag(name)) {
-                if (!core::parseFaultFlag(name, value, opts.fault))
-                    return usageError("bad " + name + ": " + value);
-            } else if (name == "--retries") {
-                std::uint64_t n = 0;
-                if (!parseU64(value, n) || n > 1000)
-                    return usageError("bad --retries: " + value);
-                opts.hostMaxRetries = static_cast<std::uint32_t>(n);
-            } else if (name == "--metrics-json") {
-                if (value.empty())
-                    return usageError("--metrics-json needs a file");
-                outs.metricsJson = value;
-                opts.obs.metrics = true;
-            } else if (name == "--trace-out") {
-                if (value.empty())
-                    return usageError("--trace-out needs a file");
-                outs.chromeTrace = value;
-                opts.obs.traceSpans = true;
-            } else if (name == "--trace-csv") {
-                if (value.empty())
-                    return usageError("--trace-csv needs a file");
-                outs.replayedTrace = value;
-            } else if (name == "--sample-window-ms") {
-                std::uint64_t ms = 0;
-                if (!parseU64(value, ms) || ms == 0)
-                    return usageError("bad --sample-window-ms: " +
-                                      value);
-                opts.obs.sampleWindow =
-                    sim::milliseconds(static_cast<std::int64_t>(ms));
-            } else if (name == "--attribution") {
-                if (!value.empty())
-                    return usageError("--attribution takes no value");
-                opts.obs.attribution = true;
-            } else if (name == "--spo-at") {
-                for (const std::string &s : splitList(value)) {
-                    std::uint64_t ns = 0;
-                    if (!parseU64(s, ns) || ns == 0)
-                        return usageError("bad --spo-at tick: " + s);
-                    opts.spo.ticks.push_back(
-                        static_cast<sim::Time>(ns));
-                }
-                if (opts.spo.ticks.empty())
-                    return usageError("--spo-at needs a tick list");
-                std::sort(opts.spo.ticks.begin(),
-                          opts.spo.ticks.end());
-            } else if (name == "--spo-random") {
-                const std::vector<std::string> parts =
-                    splitList(value);
-                if (parts.size() != 2 ||
-                    !parseU64(parts[0], spo_random.count) ||
-                    spo_random.count == 0 ||
-                    spo_random.count > 100000 ||
-                    !parseU64(parts[1], spo_random.seed))
-                    return usageError(
-                        "bad --spo-random (want N,SEED): " + value);
-            } else if (name == "--spo-notify") {
-                if (!value.empty())
-                    return usageError("--spo-notify takes no value");
-                opts.spo.notify = true;
-            } else if (name == "--spo-delay-ms") {
-                std::uint64_t ms = 0;
-                if (!parseU64(value, ms) || ms == 0)
-                    return usageError("bad --spo-delay-ms: " + value);
-                opts.spo.powerOnDelay =
-                    sim::milliseconds(static_cast<std::int64_t>(ms));
-            } else if (name == "--at") {
-                std::uint64_t ns = 0;
-                if (!parseU64(value, ns))
-                    return usageError("bad --at: " + value);
-                opts.snapshotAt = static_cast<sim::Time>(ns);
-                have_at = true;
-            }
-        }
-        if (opts.obs.sampleWindow > 0 && outs.metricsJson.empty())
-            return usageError(
-                "--sample-window-ms requires --metrics-json");
-        if (opts.obs.attribution && outs.metricsJson.empty())
-            return usageError("--attribution requires --metrics-json");
-        if (mode == RunMode::Snapshot && !have_at)
+        if (mode == RunMode::Snapshot && !ra.haveAt)
             return usageError("snapshot requires --at=NS");
-        return cmdReplay(pos[0], pos.size() > 1 ? pos[1] : "HPS", opts,
-                         outs, spo_random, mode, image_path);
+        return cmdReplay(pos[0], pos.size() > 1 ? pos[1] : "HPS", ra,
+                         mode, image_path);
     }
     if (cmd == "ingest") {
         if (pos.size() != 3)
             return usageError(
                 "ingest needs <format> <in-file> <out-file>");
         trace::ingest::IngestOptions iopts;
-        std::string metrics_json;
         for (const auto &[name, value] : flags) {
             if (name == "--volume") {
                 if (value.empty())
@@ -1176,49 +1184,30 @@ main(int argc, char **argv)
                 if (value.empty())
                     return usageError("--name needs a value");
                 iopts.name = value;
-            } else if (name == "--metrics-json") {
-                if (value.empty())
-                    return usageError("--metrics-json needs a file");
-                metrics_json = value;
             }
         }
-        return cmdIngest(pos[0], pos[1], pos[2], iopts, metrics_json);
+        return cmdIngest(pos[0], pos[1], pos[2], iopts, ra.metricsJson);
     }
     if (cmd == "trace-info") {
         if (pos.size() != 1)
             return usageError("trace-info needs exactly <trace-file>");
-        std::string metrics_json;
-        for (const auto &[name, value] : flags) {
-            if (name == "--metrics-json") {
-                if (value.empty())
-                    return usageError("--metrics-json needs a file");
-                metrics_json = value;
-            }
-        }
-        return cmdTraceInfo(pos[0], metrics_json);
+        return cmdTraceInfo(pos[0], ra.metricsJson);
     }
     if (cmd == "explain") {
-        if (pos.size() != 1 || !flags.empty())
+        if (pos.size() != 1)
             return usageError("explain needs exactly <report.json>");
         return cmdExplain(pos[0]);
     }
     if (cmd == "diff") {
-        if (pos.size() != 2 || !flags.empty())
+        if (pos.size() != 2)
             return usageError(
                 "diff needs exactly <before.json> <after.json>");
         return cmdDiff(pos[0], pos[1]);
     }
-    if (cmd == "compare") {
-        if (pos.empty() || pos.size() > 2)
-            return usageError("compare needs <app> [scale]");
-        double scale = 0.5;
-        if (pos.size() > 1 && (!parseF64(pos[1], scale) || scale <= 0))
-            return usageError("bad scale: " + pos[1]);
-        return cmdCompare(pos[0], scale);
-    }
     if (cmd == "sweep") {
         SweepArgs sa;
         sa.apps = pos;
+        sa.run = std::move(ra);
         for (const auto &[name, value] : flags) {
             if (name == "--schemes") {
                 for (const std::string &s : splitList(value)) {
@@ -1231,10 +1220,10 @@ main(int argc, char **argv)
                     return usageError("--schemes needs a list");
             } else if (name == "--ablate") {
                 for (const std::string &s : splitList(value)) {
-                    SweepVariant variant;
-                    if (!parseVariant(s, variant))
+                    core::ExperimentOptions scratch;
+                    if (!applyVariant(s, scratch))
                         return usageError("bad --ablate entry: " + s);
-                    sa.variants.push_back(std::move(variant));
+                    sa.variants.push_back(s);
                 }
                 if (sa.variants.empty())
                     return usageError("--ablate needs a list");
@@ -1247,26 +1236,13 @@ main(int argc, char **argv)
             } else if (name == "--jobs") {
                 if (!parseJobs(value, sa.jobs))
                     return usageError("bad --jobs: " + value);
-            } else if (name == "--metrics-json") {
-                if (value.empty())
-                    return usageError("--metrics-json needs a file");
-                sa.metricsJson = value;
-            } else if (name == "--attribution") {
-                if (!value.empty())
-                    return usageError("--attribution takes no value");
-                sa.attribution = true;
             }
         }
-        if (sa.attribution && sa.metricsJson.empty())
-            return usageError("--attribution requires --metrics-json");
         if (sa.schemes.empty())
             sa.schemes.assign(core::allSchemes().begin(),
                               core::allSchemes().end());
-        if (sa.variants.empty()) {
-            SweepVariant baseline;
-            parseVariant("baseline", baseline);
-            sa.variants.push_back(std::move(baseline));
-        }
+        if (sa.variants.empty())
+            sa.variants.push_back("baseline");
         return cmdSweep(sa);
     }
     return usageError("unknown command: " + cmd);

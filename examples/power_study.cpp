@@ -8,9 +8,9 @@
  * Usage: power_study [app-name] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "core/cli_util.hh"
 #include "core/report.hh"
 #include "core/scheme.hh"
 #include "host/replayer.hh"
@@ -23,7 +23,13 @@ int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "YouTube";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    double scale = 1.0;
+    if (argc > 3 ||
+        (argc > 2 && (!core::parseF64(argv[2], scale) || scale <= 0))) {
+        std::cerr << "usage: power_study [app-name] [scale]\n"
+                     "  scale: a positive number\n";
+        return 2;
+    }
 
     const workload::AppProfile *profile = workload::findProfile(app);
     if (profile == nullptr) {

@@ -8,9 +8,9 @@
  * Usage: trace_tools [out-dir] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "core/cli_util.hh"
 #include "core/scheme.hh"
 #include "host/replayer.hh"
 #include "workload/combo.hh"
@@ -23,7 +23,13 @@ int
 main(int argc, char **argv)
 {
     const std::string out_dir = argc > 1 ? argv[1] : ".";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    double scale = 0.1;
+    if (argc > 3 ||
+        (argc > 2 && (!core::parseF64(argv[2], scale) || scale <= 0))) {
+        std::cerr << "usage: trace_tools [out-dir] [scale]\n"
+                     "  scale: a positive number\n";
+        return 2;
+    }
 
     // 1. Generate and persist a single-app trace.
     const workload::AppProfile *music = workload::findProfile("Music");

@@ -25,7 +25,7 @@ evaluateCharacteristics(const std::vector<trace::Trace> &traces)
         if (smallRequestFraction(t) > 0.40)
             ++rep.smallMajority;
 
-        if (ts.replayed && ts.noWaitPct >= 60.0)
+        if (ts.replayed && ts.noWaitPct >= 63.0)
             ++rep.highNoWait;
 
         if (ts.spatialPct < 48.0)

@@ -28,8 +28,8 @@ struct CharacteristicsReport
     /** C2: traces where single-page (4KB) requests exceed 40%. */
     std::size_t smallMajority = 0;
 
-    /** C3: traces where >=60% of requests are served immediately
-     *  (needs replayed traces; 0 otherwise). */
+    /** C3: traces where >=63% of requests are served immediately,
+     *  the paper's threshold (needs replayed traces; 0 otherwise). */
     std::size_t highNoWait = 0;
 
     /** C5: traces with spatial locality below 48%. */

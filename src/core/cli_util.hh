@@ -19,7 +19,7 @@
  *   double spelled the way a person would type it.
  *
  * parseFaultFlag is the one parser of the four --fault-* flags
- * (emmcsim_cli and hps_case_study both take them).
+ * (emmcsim_cli's replay, snapshot, restore and sweep take them).
  */
 
 #ifndef EMMCSIM_CORE_CLI_UTIL_HH
